@@ -90,8 +90,9 @@ class QuadExt:
     canonical form: an integer with small square factors removed (the
     rescaling is absorbed into b), so equal values built from different
     presentations of the same extension compare equal.  Two irrational
-    values only interoperate when their radicands agree; a value with
-    b == 0 is rational and mixes with anything.
+    values only interoperate in arithmetic when their radicands name one
+    field (d1*d2 a square); a value with b == 0 is rational and mixes with
+    anything.
     """
 
     __slots__ = ("a", "b", "d")
@@ -122,7 +123,11 @@ class QuadExt:
                 return other.a, other.b
             if self.b == 0:
                 return other.a, other.b  # harmless: self is rational
-            raise RadicandMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
+            # one field when d1*d2 = s^2; then sqrt(d2) = (s/|d1|) sqrt(d1)
+            s = sqrt_exact(self.d * other.d)
+            if s is None:
+                raise RadicandMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
+            return other.a, other.b * s / abs(self.d)
         try:
             return rat(other), Rational(0)
         except TypeError:

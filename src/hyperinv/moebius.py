@@ -184,8 +184,8 @@ class MoebiusMap:
 def pullback_coeffs(f: Poly, a, b, c, d, n: int) -> Poly:
     """(cX+d)^n * f((aX+b)/(cX+d)) as a polynomial of formal degree n.
 
-    Entries may be exact scalars or Poly values (the involution search
-    substitutes polynomials in the unknown map parameters).
+    Entries may be exact scalars or Poly values (polynomials in unknown map
+    parameters).
     """
     if f.is_zero():
         raise ZeroInput("cannot pull back the zero form")

@@ -1,23 +1,28 @@
 """Univariate polynomials over exact scalars, plus root finding.
 
 Coefficients are stored ascending (coeffs[i] multiplies X^i) and may be
-Rational, QuadExt, or Poly (for the bivariate elimination used by the
-involution search: a Poly whose coefficients are themselves Poly values).
-All arithmetic is exact.  Root finding is split three ways:
+Rational or QuadExt; Poly coefficients (a polynomial in a second variable)
+are allowed for ring arithmetic and Bareiss determinants, as used by the
+symbolic invariants Jacobian.  All arithmetic is exact.  Root finding is
+split three ways:
 
   rational_roots        exact rational roots, complete at any height
   quad_irrational_roots roots in degree <= 2 extensions, numerically
                         discovered and exactly certified
   numeric_roots         double-precision roots for the numeric oracle
 
-The resultant uses the fraction-free subresultant remainder sequence, which
-keeps intermediate coefficient growth polynomial and works verbatim when the
-coefficients are themselves polynomials.
+gcd of rational polynomials runs the heuristic GCDHEU on their integer
+models (dense ascending int lists), with a primitive-PRS fallback; Euclid
+over the coefficient field remains for QuadExt coefficients.  The resultant
+of Poly values uses the fraction-free subresultant remainder sequence; for
+bivariate integer input in Z[a][b] (lists of int lists) one argument must be
+linear in b, and a closed form gives the resultant.
 """
 
 from __future__ import annotations
 
 import cmath
+from math import gcd as igcd, isqrt
 
 from ._kernel import Rational, durand_kerner
 from .errors import (BothZero, ConstantInput, NonConvergence,
@@ -226,13 +231,9 @@ class Poly:
             return [], Rational(0)
         from math import gcd, lcm
         cs = [rat(c) for c in self.coeffs]
-        den = 1
-        for c in cs:
-            den = lcm(den, c.denominator)
-        nums = [int(c * den) for c in cs]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
+        den = lcm(*(int(c.denominator) for c in cs))
+        nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
+        g = gcd(*nums)
         nums = [v // g for v in nums]
         sign = 1
         if nums[-1] < 0:
@@ -293,12 +294,137 @@ def _to_complex(c) -> complex:
     return complex(float(c))
 
 
+# --- dense integer polynomials: ascending int lists, no trailing zeros ---
+
+def _zz_strip(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _zz_add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return _zz_strip(out)
+
+
+def _zz_mul(f, g):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        if c:
+            for j, d in enumerate(g):
+                out[i + j] += c * d
+    return out
+
+
+def _zz_eval(f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _zz_primitive(f):
+    """f over its content, leading coefficient made positive."""
+    if not f:
+        return f
+    g = igcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return [c // g for c in f]
+
+
+def _zz_divides(h, f):
+    """True when the primitive h divides f in Z[x] (equivalently in Q[x])."""
+    rem = list(f)
+    dh, lc = len(h) - 1, h[-1]
+    for k in range(len(rem) - 1 - dh, -1, -1):
+        c = rem[k + dh]
+        if c:
+            q, r = divmod(c, lc)
+            if r:
+                return False
+            for i in range(dh):
+                rem[k + i] -= q * h[i]
+    return not any(rem[:dh])
+
+
+def _zz_prs_gcd(f, g):
+    """gcd of primitive f, g by the primitive remainder sequence."""
+    a, b = Poly(f), Poly(g)
+    if a.degree() < b.degree():
+        a, b = b, a
+    while b:
+        a, b = b, Poly(_prem(a, b).integer_model()[0])
+    return a.integer_model()[0]
+
+
+_HEU_TRIES = 6
+
+
+def _zz_heu_gcd(f, g):
+    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive f, g of degree >= 1.
+
+    Interpolates h from the symmetric xi-adic digits of igcd(f(xi), g(xi))
+    and returns its primitive part P when P divides f and g; None when every
+    evaluation point fails.  Such a P is the gcd: if gcd = P*r, then r(xi)
+    divides the content of h, which is at most xi/2.  A nonconstant r has
+    only roots shared by f and g, of modulus below T + 2 by Cauchy's bound
+    with T = min(|f|/|lc f|, |g|/|lc g|), so |r(xi)| > xi - T - 2 >= xi/2
+    since xi >= 2T + 4.
+    """
+    fn, gn = max(map(abs, f)), max(map(abs, g))
+    low = min(fn, gn)
+    xi = max(min(low, 99 * isqrt(low)), 2 * min(fn // abs(f[-1]), gn // abs(g[-1]))) + 4
+    for _ in range(_HEU_TRIES):
+        fv, gv = _zz_eval(f, xi), _zz_eval(g, xi)
+        if fv and gv:
+            v, half, h = igcd(fv, gv), xi // 2, []
+            while v:
+                c = v % xi
+                if c > half:
+                    c -= xi
+                h.append(c)
+                v = (v - c) // xi
+            h = _zz_primitive(h)
+            if _zz_divides(h, f) and _zz_divides(h, g):
+                return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _zz_gcd(f, g):
+    """gcd of integer models (primitive, positive leads), not both zero."""
+    if not f or not g:
+        return f or g
+    if len(f) == 1 or len(g) == 1:
+        return [1]
+    return _zz_heu_gcd(f, g) or _zz_prs_gcd(f, g)
+
+
 # --- gcd, resultant, discriminant ---
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor over a coefficient field."""
+    """Monic greatest common divisor over the coefficient field.
+
+    Rational inputs go through their integer models and _zz_gcd; others
+    (QuadExt coefficients) through Euclid over the field.
+    """
     if p.is_zero() and q.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
+    if all(isinstance(c, Rational) for c in p.coeffs + q.coeffs):
+        h = _zz_gcd(p.integer_model()[0], q.integer_model()[0])
+        return Poly([Rational(c, h[-1]) for c in h])
+    return _field_gcd(p, q)
+
+
+def _field_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm over the coefficient field."""
     a, b = p, q
     while not b.is_zero():
         a, b = b, a.divrem(b)[1]
@@ -331,14 +457,19 @@ def _scalar_pow(s, k: int):
     return out
 
 
-def resultant(p: Poly, q: Poly):
-    """Resultant of p and q by the subresultant remainder sequence.
+def resultant(p, q):
+    """Resultant of p and q.
 
     Sign and scaling follow the convention
     Res(p, q) = lead(p)^deg(q) * lead(q)^deg(p) * prod(alpha_i - beta_j)
-    over the root multisets.  Works over any coefficient ring with exact
-    division, in particular when coefficients are themselves Poly values.
+    over the root multisets.  p and q are Poly values over a coefficient
+    field, resolved by the subresultant remainder sequence; or bivariate
+    integer polynomials in Z[a][b], each a list ascending in b of int lists
+    ascending in a, of which one must be linear in b.  The bivariate result
+    is a Poly in a.
     """
+    if not isinstance(p, Poly):
+        return _linear_resultant_zz(p, q)
     if p.is_zero() or q.is_zero():
         raise ZeroInput("resultant of the zero polynomial")
     a, b = p, q
@@ -349,7 +480,7 @@ def resultant(p: Poly, q: Poly):
         a, b = b, a
     if b.degree() == 0:
         if a.degree() == 0:
-            return _one_like(a.lead())
+            return Rational(1)
         out = _scalar_pow(b.lead(), a.degree())
         return -out if sign < 0 else out
     g, h = Rational(1), Rational(1)
@@ -359,20 +490,20 @@ def resultant(p: Poly, q: Poly):
             sign = -sign
         r = _prem(a, b)
         if r.is_zero():
-            return _zero_like(p.lead()) if b.degree() > 0 else _finish_resultant(sign, a, b, h)
+            return Rational(0) if b.degree() > 0 else _finish_resultant(sign, a, b, h)
         a = b
         divisor = g * _scalar_pow(h, d) if d > 0 else g
-        b = Poly([_exact_scalar_div(c, divisor) for c in r.coeffs])
+        b = Poly([c / divisor for c in r.coeffs])
         g = a.lead()
         if d == 0:
             pass
         elif d == 1:
             h = g
         else:
-            h = _exact_scalar_div(_scalar_pow(g, d), _scalar_pow(h, d - 1))
+            h = _scalar_pow(g, d) / _scalar_pow(h, d - 1)
         if b.degree() <= 0:
             if b.is_zero():
-                return _zero_like(p.lead())
+                return Rational(0)
             return _finish_resultant(sign, a, b, h)
 
 
@@ -380,24 +511,32 @@ def _finish_resultant(sign, a, b, h):
     da = a.degree()
     res = _scalar_pow(b.lead(), da)
     if da > 1:
-        res = _exact_scalar_div(res, _scalar_pow(h, da - 1))
+        res = res / _scalar_pow(h, da - 1)
     return -res if sign < 0 else res
 
 
-def _exact_scalar_div(x, y):
-    if isinstance(x, Poly) or isinstance(y, Poly):
-        if not isinstance(x, Poly):
-            x = Poly([x])
-        return x / y
-    return x / y
+def _linear_resultant_zz(p, q) -> Poly:
+    """Res_b(p, q) over Z[a] when p or q is p1*b + p0.
 
-
-def _zero_like(sample):
-    return Poly() if isinstance(sample, Poly) else Rational(0)
-
-
-def _one_like(sample):
-    return Poly([1]) if isinstance(sample, Poly) else Rational(1)
+    Res(p1*b + p0, E) = sum_k E_k (-p0)^k p1^(m-k) for E of degree m in b,
+    and Res(E, p1*b + p0) = (-1)^m Res(p1*b + p0, E).
+    """
+    p = _zz_strip([_zz_strip(list(row)) for row in p])
+    q = _zz_strip([_zz_strip(list(row)) for row in q])
+    if not p or not q:
+        raise ZeroInput("resultant of the zero polynomial")
+    if len(p) == 2:
+        lin, other, sign = p, q, 1
+    elif len(q) == 2:
+        lin, other, sign = q, p, (-1) ** (len(p) - 1)
+    else:
+        raise ValueError("integer resultant needs an argument linear in b")
+    neg_p0, p1 = [-c for c in lin[0]], lin[1]
+    acc, p1_pow = other[-1], [1]
+    for row in reversed(other[:-1]):
+        p1_pow = _zz_mul(p1_pow, p1)
+        acc = _zz_add(_zz_mul(acc, neg_p0), _zz_mul(row, p1_pow))
+    return Poly([sign * c for c in acc])
 
 
 def discriminant(p: Poly):
@@ -407,7 +546,7 @@ def discriminant(p: Poly):
         raise ConstantInput("discriminant needs degree >= 1")
     res = resultant(p, p.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * _exact_scalar_div(res, p.lead())
+    return sign * (res / p.lead())
 
 
 def is_square_free(p: Poly) -> bool:
@@ -417,6 +556,13 @@ def is_square_free(p: Poly) -> bool:
 
 
 # --- exact determinant (used by the invariants jacobian) ---
+
+def _exact_scalar_div(x, y):
+    """x / y, a scalar x lifted to a constant Poly when y is a Poly."""
+    if isinstance(y, Poly) and not isinstance(x, Poly):
+        x = Poly([x])
+    return x / y
+
 
 def det_bareiss(rows):
     """Exact determinant by fraction-free Bareiss elimination.
@@ -436,7 +582,7 @@ def det_bareiss(rows):
         if not m[k][k]:
             pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
-                return _zero_like(m[0][0])
+                return Rational(0)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):

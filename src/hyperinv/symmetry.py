@@ -4,10 +4,11 @@ A reduced involution of Y^2 = F(X) is an order-2 Moebius map permuting the
 branch set.  Every such map is conjugate to a trace-zero matrix, so the
 search space splits into gamma = -X + beta (one linear unknown) and
 gamma = (aX + b)/(X - a) (two unknowns).  The second case is solved by
-exact bivariate elimination: the pullback-proportionality equations are
-polynomials in (a, b), the top nontrivial one is linear in b, and pairwise
-resultants against it collapse the system to a single univariate gcd whose
-rational and quadratic-irrational roots are then certified and verified.
+exact elimination over Z[a][b]: the pullback-proportionality equations of
+F's integer model are built as int lists, the X^(n-1) equation is linear in
+b, and resultants against it collapse the system to a single univariate gcd
+whose rational and quadratic-irrational roots are then certified and
+verified against F itself.
 
 Completeness is claimed only for parameters in Q or a quadratic extension;
 involutions needing higher-degree fields are intentionally not reported.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import comb, lcm
 from typing import Optional, Tuple
 
 from ._kernel import Rational
@@ -29,8 +31,9 @@ from .errors import (
     SingularModel,
 )
 from .exact import QuadExt, collapse, sqrt_exact, sqrt_in_field
-from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs
-from .poly import Poly, gcd, quad_irrational_roots, resultant
+# pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
+from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs  # noqa: F401
+from .poly import Poly, _zz_strip, gcd, quad_irrational_roots, resultant
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,68 @@ def _field_sqrt(x, ambient_d):
     return None
 
 
-def _specialize(E: Poly, a0) -> Poly:
-    """Evaluate the inner (a-)level of a nested polynomial at a0."""
-    return Poly([c.eval(a0) if isinstance(c, Poly) else c for c in E.coeffs])
+def _involution_equations(f, n: int):
+    """The c = 1 equations in Z[a][b] for an integer model f of degree n.
+
+    With G = (X - a)^n f((aX + b)/(X - a)), equation k is
+    f_n G_k - f_k f(a) for k = n-1 down to 0, zero ones left out; each is a
+    list ascending in b of int lists ascending in a.  The b^e a^t term of G_k
+    comes from f_i with i = t + k + 2e - n alone, with coefficient
+    (-1)^(n-k-e) C(i, e) C(n-i, k-i+e) f_i.
+    """
+    G = [[[0] * (2 * n + 1) for _ in range(n + 1)] for _ in range(n)]
+    for i, fi in enumerate(f):
+        if not fi:
+            continue
+        for e in range(i + 1):
+            for k in range(max(i - e, 0), min(n - e, n - 1) + 1):
+                term = fi * comb(i, e) * comb(n - i, k - i + e)
+                G[k][e][n - k + i - 2 * e] += -term if (n - k - e) % 2 else term
+    fn = f[n]
+    eqs = []
+    for k in range(n - 1, -1, -1):
+        rows = [[fn * c for c in row] for row in G[k]]
+        rows[0] = [c - f[k] * fc for c, fc in zip(rows[0], f + [0] * n)]
+        rows = _zz_strip([_zz_strip(row) for row in rows])
+        if rows:
+            eqs.append(rows)
+    return eqs
+
+
+def _specialize(E, a0) -> Poly:
+    """Evaluate the a-level of an equation in Z[a][b] at a Rational or QuadExt a0.
+
+    Horner runs on ints: with a0 = (p + q sqrt d)/r, a row of degree D takes
+    the value sum_t c_t (p + q sqrt d)^t r^(D-t) over r^D.
+    """
+    if isinstance(a0, QuadExt):
+        x, y, d = a0.a, a0.b, int(a0.d)
+        r = lcm(x.denominator, y.denominator)
+        p, q = x.numerator * (r // x.denominator), y.numerator * (r // y.denominator)
+    else:
+        p, q, r, d = a0.numerator, 0, a0.denominator, 0
+    out = []
+    for row in E:
+        u = v = 0  # u + v sqrt d
+        rk = 1
+        for c in reversed(row):
+            u, v = u * p + v * q * d + c * rk, u * q + v * p
+            rk *= r
+        den = rk // r if row else 1
+        u = Rational(u, den)
+        out.append(QuadExt(u, Rational(v, den), d) if v else u)
+    return Poly(out)
+
+
+def _off_branch(D: Poly, F: Poly) -> Poly:
+    """D with every factor it shares with F divided out.
+
+    gamma = (aX + b)/(X - a) sends a to infinity, which is no branch point
+    of an even-degree model, so no root of F is a parameter a.
+    """
+    while D.degree() >= 1 and (common := gcd(D, F)).degree() >= 1:
+        D = D / common
+    return D
 
 
 def _roots_in_field(p: Poly, ambient_d):
@@ -170,8 +232,9 @@ def detect_involutions(curve) -> list:
     Requires an even-degree rational model (run to_even_degree first).
     Every returned certificate has been re-verified exactly through
     is_automorphism; the list is deterministically ordered.  Raises
-    SearchInconclusive when exact root certification fails, in which case
-    no silent undercount is possible.
+    SearchInconclusive when exact root certification fails (or elimination
+    leaves no resolvent, which genus >= 2 rules out), in which case no
+    silent undercount is possible.
     """
     F = curve.F
     n = 2 * curve.genus + 2
@@ -196,46 +259,24 @@ def detect_involutions(curve) -> list:
     if lam0 is not None:
         record(m0, lam0)
 
-    # Case c = 1: gamma = (aX + b)/(X - a) with nested-polynomial unknowns;
-    # outer variable b, inner variable a.
-    A = Poly([Poly([0, 1])])
-    B = Poly([Poly([0]), Poly([1])])
-    ONE = Poly([Poly([1])])
-    G = pullback_coeffs(F, A, B, ONE, -A, n)
-    Fa = F.eval(Poly([0, 1]))  # F(a) in the inner ring
-    eqs = []
-    for k in range(n - 1, -1, -1):
-        Gk = G.coeff(k)
-        if not isinstance(Gk, Poly):
-            Gk = Poly([Gk])
-        E = Gk.scale(fn) - Poly([Fa.scale(F.coeff(k))])
-        if not E.is_zero():
-            eqs.append(E)
-
-    a_constraints = [E.coeff(0) for E in eqs if E.degree() == 0]
-    b_eqs = [E for E in eqs if E.degree() >= 1]
-
-    resolvents = list(a_constraints)
-    if b_eqs:
-        pivot = min(b_eqs, key=lambda E: E.degree())
-        for E in b_eqs:
-            if E is pivot:
-                continue
-            resolvents.append(resultant(pivot, E))
-    resolvents = [r for r in resolvents if isinstance(r, Poly) and not r.is_zero()]
-    if not resolvents and b_eqs:
-        # pivot resultants all vanished identically: fall back to every pair
-        for i in range(len(b_eqs)):
-            for j in range(i + 1, len(b_eqs)):
-                r = resultant(b_eqs[i], b_eqs[j])
-                if isinstance(r, Poly) and not r.is_zero():
-                    resolvents.append(r)
-    if not resolvents:
-        if b_eqs or a_constraints:
-            raise SearchInconclusive("involution system is underdetermined")
-        return _sorted_certs(found)
-
-    D = reduce(gcd, resolvents)
+    # Case c = 1: gamma = (aX + b)/(X - a); outer variable b, inner a.
+    # The X^(n-1) equation, first in the list, is fn*F'(a)*b + p0(a) with
+    # F' != 0: the linear pivot of every resultant.
+    eqs = _involution_equations(F.integer_model()[0], n)
+    D = None
+    for E in eqs[1:]:
+        r = Poly(E[0]) if len(E) == 1 else resultant(eqs[0], E)
+        if not r.is_zero():
+            D = r if D is None else _off_branch(gcd(D, r), F)
+            if D.degree() == 0:
+                break
+    if D is None:
+        # unreachable: then b = -p0/p1 solves all for every a: infinitely many involutions
+        sizes = [(len(E) - 1, max(map(len, E)) - 1) for E in eqs]
+        raise SearchInconclusive(
+            f"elimination: no nonzero resolvent at genus {curve.genus}; "
+            f"equation degrees (in b, in a): {sizes}")
+    D = _off_branch(D, F)
     if D.degree() >= 1:
         try:
             a_candidates = quad_irrational_roots(D)

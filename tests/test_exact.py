@@ -109,6 +109,17 @@ class TestQuadExt:
         with pytest.raises(RadicandMismatch):
             QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
 
+    def test_same_field_under_another_radicand(self):
+        # 1009 is past the square trial-division bound, so 2 * 1009^2 stays
+        # as given, yet it names the field Q(sqrt 2)
+        x, y = QuadExt(0, 1, 2), QuadExt(0, 1, 2 * 1009 ** 2)
+        assert x + y == QuadExt(0, 1010, 2)
+        assert x * y == 2018
+        assert (y - x) - QuadExt(0, 1008, 2) == 0
+        assert QuadExt(0, 1, -2) + QuadExt(0, 1, -2 * 1009 ** 2) == QuadExt(0, 1010, -2)
+        with pytest.raises(RadicandMismatch):
+            x + QuadExt(0, 1, -2 * 1009 ** 2)
+
     def test_rational_member_mixes_across_radicands(self):
         rationalish = QuadExt(5, 0, 2)
         assert rationalish + QuadExt(0, 1, 3) == QuadExt(5, 1, 3)

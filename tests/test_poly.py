@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hyperinv.poly as poly_module
 from hyperinv.errors import ConstantInput, ZeroInput
 from hyperinv.exact import QuadExt
 from hyperinv.poly import (
@@ -20,6 +22,7 @@ from hyperinv.poly import (
     resultant,
     variable,
 )
+from hyperinv.poly import _field_gcd, _zz_heu_gcd, _zz_prs_gcd
 from hyperinv._kernel import Rational
 
 
@@ -195,6 +198,48 @@ class TestGcd:
     def test_coprime(self):
         assert gcd(Poly([1, 1]), Poly([2, 1])).degree() == 0
 
+    def test_zero_and_constant_inputs(self):
+        p = Poly([Rational(1, 2), 3, 2])
+        assert gcd(p, Poly()) == p.monic()
+        assert gcd(Poly(), p) == p.monic()
+        assert gcd(p, Poly([7])) == Poly([1])
+
+    def test_quadext_coefficients_use_field_euclid(self):
+        r = QuadExt(1, 1, 2)
+        x = variable()
+        p = (x - r) * (x - 3)
+        q = (x - r) * (x + 5)
+        assert gcd(p, q) == x - r
+
+    @settings(max_examples=40, deadline=5000, derandomize=True, database=None)
+    @given(st.data())
+    def test_integer_gcd_matches_field_euclid(self, data):
+        big = st.integers(2 ** 200, 2 ** 210).flatmap(
+            lambda v: st.sampled_from([v, -v]))
+
+        def draw_poly(max_deg):
+            return Poly(data.draw(st.lists(big, min_size=1, max_size=max_deg + 1)))
+
+        h, p, q = draw_poly(4), draw_poly(4), draw_poly(4)
+        a, b = h * p, h * q
+        want = _field_gcd(a, b)
+        assert gcd(a, b) == want
+        assert want.degree() >= h.degree()
+        ia, ib = a.integer_model()[0], b.integer_model()[0]
+        from_prs = _zz_prs_gcd(ia, ib)
+        assert Poly(from_prs).monic() == want
+        from_heu = _zz_heu_gcd(ia, ib)
+        assert from_heu is None or from_heu == from_prs
+
+    def test_prs_fallback_when_every_evaluation_fails(self, monkeypatch):
+        monkeypatch.setattr(poly_module, "_HEU_TRIES", 0)
+        rng = random.Random(37)
+        for _ in range(20):
+            h, p, q = (_random_poly(rng, 3) for _ in range(3))
+            if h.is_zero() or p.is_zero() or q.is_zero():
+                continue
+            assert gcd(h * p, h * q) == _field_gcd(h * p, h * q)
+
 
 class TestResultant:
     def test_against_sylvester_oracle(self):
@@ -208,6 +253,47 @@ class TestResultant:
             r = resultant(p, q)
             assert Fraction(int(r.numerator), int(r.denominator)) == sylvester_resultant(p, q)
             checked += 1
+
+    def test_linear_case_against_sylvester_both_orders(self):
+        # univariate integer input: rows of constant int lists
+        rng = random.Random(41)
+        for _ in range(30):
+            lin = [[rng.randint(-9, 9)], [rng.choice([-3, -2, -1, 1, 2, 3])]]
+            other = [[rng.randint(-9, 9)] for _ in range(rng.randint(1, 6))]
+            other[-1] = [rng.choice([-2, -1, 1, 2])]
+            p, q = Poly([r[0] for r in lin]), Poly([r[0] for r in other])
+            assert resultant(lin, other).coeff(0) == sylvester_resultant(p, q)
+            assert resultant(other, lin).coeff(0) == sylvester_resultant(q, p)
+
+    def test_linear_case_in_z_a_b_specializes(self):
+        # Res_b commutes with a -> a0 wherever no leading coefficient vanishes
+        rng = random.Random(43)
+
+        def row(deg):
+            return [rng.randint(-5, 5) for _ in range(deg + 1)]
+
+        checked = 0
+        while checked < 25:
+            lin = [row(3), row(2)]
+            other = [row(rng.randint(0, 3)) for _ in range(rng.randint(2, 5))]
+            a0 = rng.randint(-4, 4)
+
+            def at(rows):
+                return Poly([Poly(r).eval(a0) for r in rows])
+
+            p, q = at(lin), at(other)
+            if p.degree() != 1 or q.degree() != len(other) - 1:
+                continue
+            assert resultant(lin, other).eval(a0) == sylvester_resultant(p, q)
+            assert resultant(other, lin).eval(a0) == sylvester_resultant(q, p)
+            checked += 1
+
+    def test_integer_input_needs_a_linear_argument(self):
+        quad = [[1], [0], [1]]
+        with pytest.raises(ValueError):
+            resultant(quad, quad)
+        with pytest.raises(ZeroInput):
+            resultant([[0], []], quad)
 
     def test_shared_root_gives_zero(self):
         x = variable()

@@ -1,11 +1,15 @@
 """Involution search, even models, and automorphism order candidates."""
 
+import random
+
 import pytest
 
+import hyperinv.symmetry as symmetry
 from hyperinv.curve import to_even_degree
-from hyperinv.errors import FixedBranchPoint
+from hyperinv.errors import FixedBranchPoint, SearchInconclusive
 from hyperinv.invariants import dihedral_from_even, dihedral_from_normal
-from hyperinv.moebius import MoebiusMap, pullback_form
+from hyperinv.moebius import MoebiusMap, pullback_coeffs, pullback_form
+from hyperinv.poly import Poly, variable
 from hyperinv.symmetry import candidate_orders, detect_involutions, even_model
 
 from conftest import (
@@ -83,6 +87,62 @@ class TestDetectInvolutions:
         fixing = [c for c in certs if c.fixes_branch_points]
         assert len(fixing) == 3
         assert MoebiusMap(1, 0, -4, -1) in [c.map for c in fixing]
+
+
+def _random_even_model(rng, g):
+    f = [rng.randint(-20, 20) for _ in range(2 * g + 2)]
+    return f + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+
+def _nested_equations(f, n):
+    """The c = 1 equations by nested-Poly pullback, as int lists."""
+    A = Poly([Poly([0, 1])])
+    B = Poly([Poly([0]), Poly([1])])
+    ONE = Poly([Poly([1])])
+    F = Poly(f)
+    G = pullback_coeffs(F, A, B, ONE, -A, n)
+    Fa = F.eval(Poly([0, 1]))
+    out = []
+    for k in range(n - 1, -1, -1):
+        Gk = G.coeff(k)
+        if not isinstance(Gk, Poly):
+            Gk = Poly([Gk])
+        E = Gk.scale(f[n]) - Poly([Fa.scale(f[k])])
+        if not E.is_zero():
+            out.append([[int(c) for c in row.coeffs] for row in E.coeffs])
+    return out
+
+
+class TestInvolutionEquations:
+    def test_match_nested_pullback(self):
+        rng = random.Random(53)
+        for g in (2, 3, 4):
+            f = _random_even_model(rng, g)
+            n = 2 * g + 2
+            assert symmetry._involution_equations(f, n) == _nested_equations(f, n)
+
+    def test_pivot_is_linear_with_lead_fn_times_derivative(self):
+        rng = random.Random(59)
+        for _ in range(8):
+            for g in (2, 3, 4, 5):
+                f = _random_even_model(rng, g)
+                n = 2 * g + 2
+                pivot = symmetry._involution_equations(f, n)[0]
+                derivative = [i * c for i, c in enumerate(f)][1:]
+                assert len(pivot) == 2
+                assert pivot[1] == [f[n] * c for c in derivative]
+
+    def test_branch_point_factors_leave_the_candidates(self):
+        x = variable()
+        D = (x - 1) ** 2 * (x + 1) * (2 * x - 5)
+        assert symmetry._off_branch(D, x**6 - 1) == 2 * x - 5
+
+    def test_vanishing_elimination_is_inconclusive(self, monkeypatch):
+        full = symmetry._involution_equations
+        monkeypatch.setattr(symmetry, "_involution_equations",
+                            lambda f, n: full(f, n)[:1])
+        with pytest.raises(SearchInconclusive, match="elimination.*genus 2"):
+            detect_involutions(curve([1, 1, 0, 0, 0, 0, 1]))
 
 
 class TestEvenModel:
