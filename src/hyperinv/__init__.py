@@ -6,8 +6,8 @@ tests, builds rational models over the field of moduli, and cross-checks
 everything with a floating-point branch-set oracle.
 """
 
-from ._kernel import BACKEND, Rational
-from .exact import QuadExt, rat, sqrt_exact
+from ._kernel import BACKEND
+from .exact import QuadExt, Rational, rat, sqrt_exact
 from .poly import Poly
 
 __version__ = "0.1.0"

@@ -2,56 +2,23 @@
 
 Two interchangeable backends provide the innermost primitives: the exact
 rational scalar and the numeric simultaneous root iteration.  The compiled
-Cython backend is picked when its extension module imported cleanly, the
-pure-Python one otherwise.  Set HYPERINV_BACKEND=python or =cython to force
-a choice; forcing cython raises if the extension is unavailable.
+Cython backend is used when its extension module imports, the pure-Python
+one otherwise.  Library code takes Rational from hyperinv.exact, not from
+here.
 """
 
 from __future__ import annotations
 
-import os
-from fractions import Fraction
-
-_requested = os.environ.get("HYPERINV_BACKEND", "").strip().lower()
-if _requested not in ("", "python", "cython"):
-    raise ImportError(
-        f"HYPERINV_BACKEND must be 'python' or 'cython', not {_requested!r}")
+from ._pykernel import Rational, durand_kerner
 
 BACKEND = "python"
-Rational = Fraction
-
-from ._pykernel import durand_kerner  # noqa: E402
-
-if _requested != "python":
-    try:
-        from ._cykernel import Rational, durand_kerner  # noqa: F811
-        BACKEND = "cython"
-    except ImportError:
-        if _requested == "cython":
-            raise
+try:
+    from ._cykernel import Rational, durand_kerner  # noqa: F811
+    BACKEND = "cython"
+except ImportError:
+    pass
 
 
 def available_backends():
     """Names of the backends importable right now, pure one first."""
-    names = ["python"]
-    try:
-        from . import _cykernel  # noqa: F401
-        names.append("cython")
-    except ImportError:
-        pass
-    return names
-
-
-def load_backend(name):
-    """Explicitly load one backend; returns (rational_type, durand_kerner).
-
-    Used by the benchmark script and the backend-contract tests, which need
-    both backends in one process regardless of HYPERINV_BACKEND.
-    """
-    if name == "python":
-        from . import _pykernel
-        return _pykernel.Rational, _pykernel.durand_kerner
-    if name == "cython":
-        from . import _cykernel
-        return _cykernel.Rational, _cykernel.durand_kerner
-    raise ValueError(f"unknown backend {name!r}")
+    return ["python", "cython"] if BACKEND == "cython" else ["python"]

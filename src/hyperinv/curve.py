@@ -8,8 +8,8 @@ can always work with the full degree-(2g+2) binary form.
 
 from __future__ import annotations
 
-from ._kernel import Rational
 from .errors import DegreeTooSmall, IllegalCollapse, SingularModel
+from .exact import Rational
 from .moebius import MoebiusMap, pullback_coeffs, pullback_form
 from .poly import Poly, gcd
 

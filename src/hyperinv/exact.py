@@ -2,7 +2,8 @@
 
 Rational is whichever kernel backend is active (fractions.Fraction or the
 compiled equivalent); both expose numerator/denominator and the full dunder
-set.  QuadExt adds values a + b*sqrt(d) over a fixed non-square radicand d.
+set.  This module is the one place the rest of the package takes it from.
+QuadExt adds values a + b*sqrt(d) over a fixed non-square radicand d.
 Everything here is exact; nothing rounds.
 """
 
@@ -92,7 +93,9 @@ class QuadExt:
     presentations of the same extension compare equal.  Two irrational
     values only interoperate in arithmetic when their radicands name one
     field (d1*d2 a square); a value with b == 0 is rational and mixes with
-    anything.
+    anything.  Equality and hashing go by value, so a radicand left
+    non-canonical (a square prime factor past the trial bound) still gives
+    one set or dict key per field element.
     """
 
     __slots__ = ("a", "b", "d")
@@ -221,7 +224,9 @@ class QuadExt:
         if isinstance(other, QuadExt):
             if self.d == other.d:
                 return self.a == other.a and self.b == other.b
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            # b1 sqrt(d1) = b2 sqrt(d2) iff b1^2 d1 = b2^2 d2 with b1, b2 of one sign
+            return (self.a == other.a and (self.b > 0) == (other.b > 0)
+                    and self.b * self.b * self.d == other.b * other.b * other.d)
         try:
             q = rat(other)
         except (TypeError, ValueError):
@@ -231,7 +236,7 @@ class QuadExt:
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -309,16 +314,20 @@ def collapse(x):
     return x
 
 
-def sqrt_in_field(x):
+def sqrt_in_field(x, ambient=None):
     """Exact square root of x inside its own field, or None.
 
-    Rational input gives a Rational (or None); QuadExt input gives a root in
-    the same quadratic extension when one exists there.
+    Rational input gives a Rational root, or, when ambient names a radicand,
+    a root in Q(sqrt(ambient)); QuadExt input gives a root in the same
+    quadratic extension when one exists there.
     """
+    x = collapse(x)
     if not isinstance(x, QuadExt):
-        return sqrt_exact(x)
-    if x.b == 0:
-        r = sqrt_exact(x.a)
+        r = sqrt_exact(x)
+        if r is None and ambient is not None:
+            q = sqrt_exact(x / ambient)
+            if q is not None:
+                return QuadExt(0, q, ambient)
         return r
     A, B, D = x.a, x.b, x.d
     s = sqrt_exact(A * A - B * B * D)
@@ -331,6 +340,17 @@ def sqrt_in_field(x):
             if p * p + q * q * D == A:
                 return _make(p, q, D)
     return None
+
+
+def sort_key(x):
+    """Sort key of an exact scalar: rationals first, then QuadExt by (a, b, d).
+
+    Orders map entries, invariants and certificates deterministically.
+    """
+    x = collapse(x)
+    if isinstance(x, QuadExt):
+        return (1, x.a, x.b, x.d)
+    return (0, x, Rational(0), Rational(0))
 
 
 def scalar_to_complex(x) -> complex:

@@ -13,22 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ._kernel import Rational
 from .errors import (
     ExcludedLocusPoint,
     SearchInconclusive,
     UnknownSignature,
     ZeroEndCoefficient,
 )
-from .exact import QuadExt, collapse, rat
-from .poly import Poly, det_bareiss
-
-
-def _scalar(x):
-    """Coerce plain ints/strings to Rational; pass ring elements through."""
-    if isinstance(x, (Poly, QuadExt, Rational)):
-        return x
-    return rat(x)
+from .exact import QuadExt, Rational, collapse, sort_key
+from .poly import _coerce_coeff, det_bareiss
 
 
 def _pow(x, k: int):
@@ -78,7 +70,7 @@ class GroupLabel:
 def _u_tuple(u):
     if isinstance(u, DihedralInvariants):
         return tuple(u.u)
-    return tuple(_scalar(x) for x in u)
+    return tuple(_coerce_coeff(x) for x in u)
 
 
 def dihedral_from_normal(a) -> DihedralInvariants:
@@ -88,7 +80,7 @@ def dihedral_from_normal(a) -> DihedralInvariants:
     length fixes the genus.  No division occurs, so symbolic (Poly-valued)
     input is supported.
     """
-    a = tuple(_scalar(x) for x in a)
+    a = tuple(_coerce_coeff(x) for x in a)
     g = len(a)
     if g < 2:
         raise ValueError("need at least two coefficients (genus >= 2)")
@@ -110,7 +102,7 @@ def dihedral_from_even(b) -> DihedralInvariants:
 
     with m = g-i+1.  Requires b_0 and b_(g+1) nonzero.
     """
-    b = tuple(_scalar(x) for x in b)
+    b = tuple(_coerce_coeff(x) for x in b)
     g = len(b) - 2
     if g < 2:
         raise ValueError("need at least four coefficients (genus >= 2)")
@@ -133,7 +125,7 @@ def cover_residual(a, u: Optional[DihedralInvariants] = None):
     Identically zero when u = dihedral_from_normal(a); exposed so tests can
     confirm the identity on random input.
     """
-    a = tuple(_scalar(x) for x in a)
+    a = tuple(_coerce_coeff(x) for x in a)
     g = len(a)
     if u is None:
         u = dihedral_from_normal(a)
@@ -165,7 +157,7 @@ def jacobian_det(a):
     each u_i; coinciding indices (e.g. j = 1 = i) simply contribute both
     terms.  Supports symbolic nested-Poly input for identity checks.
     """
-    a = tuple(_scalar(x) for x in a)
+    a = tuple(_coerce_coeff(x) for x in a)
     g = len(a)
     if g < 2:
         raise ValueError("need at least two coefficients (genus >= 2)")
@@ -197,11 +189,11 @@ def swap_action(coeffs):
 
 def scale_action(b, t, s):
     """The rational scaling action b_i -> s * t^(2i) * b_i on even models."""
-    t = _scalar(t)
-    s = _scalar(s)
+    t = _coerce_coeff(t)
+    s = _coerce_coeff(s)
     if t == 0 or s == 0:
         raise ValueError("scaling parameters must be nonzero")
-    return tuple(s * _pow(t, 2 * i) * _scalar(x) for i, x in enumerate(b))
+    return tuple(s * _pow(t, 2 * i) * _coerce_coeff(x) for i, x in enumerate(b))
 
 
 def apply_dihedral_action(coeffs, element):
@@ -300,13 +292,6 @@ class Classification:
         return iter((self.invariants, self.label))
 
 
-def _scalar_sort_key(x):
-    x = collapse(x)
-    if isinstance(x, QuadExt):
-        return (1, x.a, x.b, rat(x.d))
-    return (0, x, Rational(0), Rational(0))
-
-
 def _radicand_core(x) -> int:
     """Square-free core of a fixed point's radicand; 1 for rational points."""
     if not isinstance(x, QuadExt):
@@ -329,8 +314,8 @@ def _certificate_key(cert, u: DihedralInvariants):
         field_rank = (0, 1, 0)
     else:
         field_rank = (1, max(abs(c) for c in cores), int(any(c < 0 for c in cores)))
-    entry_key = tuple(_scalar_sort_key(e) for e in cert.map.entries())
-    return field_rank, tuple(_scalar_sort_key(x) for x in u.u), entry_key
+    entry_key = tuple(sort_key(e) for e in cert.map.entries())
+    return field_rank, tuple(sort_key(x) for x in u.u), entry_key
 
 
 def invariants_of(curve) -> Classification:

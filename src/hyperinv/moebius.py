@@ -8,9 +8,8 @@ equality and hashing are plain componentwise checks.
 
 from __future__ import annotations
 
-from ._kernel import Rational
 from .errors import DegreeTooSmall, IdentityMap, SingularModel, ZeroInput
-from .exact import QuadExt, collapse, sqrt_exact, sqrt_in_field
+from .exact import QuadExt, collapse, sqrt_in_field
 from .poly import Poly, _coerce_coeff
 
 
@@ -33,24 +32,6 @@ def proj_equal(x, y) -> bool:
     if x is INFINITY or y is INFINITY:
         return x is y
     return x == y
-
-
-def _sqrt_over(disc, ambient):
-    """Exact sqrt of disc inside the field Q(sqrt(ambient)), or None.
-
-    disc may be Rational or a QuadExt over the ambient radicand; ambient is
-    None when the surrounding computation is rational.
-    """
-    if isinstance(disc, QuadExt):
-        return sqrt_in_field(disc)
-    r = sqrt_exact(disc)
-    if r is not None:
-        return r
-    if ambient is not None:
-        q = sqrt_exact(disc / ambient)
-        if q is not None:
-            return QuadExt(0, q, ambient)
-    return None
 
 
 class MoebiusMap:
@@ -132,7 +113,7 @@ class MoebiusMap:
         disc = collapse((d - a) * (d - a) + 4 * b * c)
         mid = collapse((a - d) / (2 * c))
         ambient = next((v.d for v in self.entries() if isinstance(v, QuadExt)), None)
-        root = _sqrt_over(disc, ambient)
+        root = sqrt_in_field(disc, ambient)
         if root is not None:
             half = root / (2 * c)
             return (collapse(mid + half), collapse(mid - half))

@@ -23,10 +23,10 @@ from itertools import permutations
 from typing import Tuple
 
 from .errors import ToleranceAmbiguity, UnknownSignature
+from .exact import Rational
 from .invariants import GroupLabel
 from .moebius import INFINITY
 from .poly import numeric_roots
-from ._kernel import Rational
 
 _GENUS2_LABELS = {
     1: "Z2",

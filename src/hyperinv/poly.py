@@ -24,21 +24,18 @@ from __future__ import annotations
 import cmath
 from math import gcd as igcd, isqrt
 
-from ._kernel import Rational, durand_kerner
+from ._kernel import durand_kerner
 from .errors import (BothZero, ConstantInput, NonConvergence,
                      ReconstructionInconclusive, ZeroInput)
-from .exact import QuadExt, rat, sqrt_exact
+from .exact import QuadExt, Rational, rat, scalar_to_complex, sqrt_exact
 
 NEG_INF = float("-inf")
 
 
 def _coerce_coeff(c):
+    """Coerce plain ints/strings to Rational; pass ring elements through."""
     if isinstance(c, (Poly, QuadExt, Rational)):
         return c
-    if isinstance(c, (int, str)):
-        return rat(c)
-    if isinstance(c, float):
-        raise TypeError("float coefficients are not exact")
     return rat(c)
 
 
@@ -208,7 +205,7 @@ class Poly:
     def eval_complex(self, z: complex) -> complex:
         acc = 0j
         for c in reversed(self.coeffs):
-            acc = acc * z + _to_complex(c)
+            acc = acc * z + scalar_to_complex(c)
         return acc
 
     # --- normalization helpers ---
@@ -286,12 +283,6 @@ def variable():
 
 def constant(c):
     return Poly([c])
-
-
-def _to_complex(c) -> complex:
-    if isinstance(c, QuadExt):
-        return complex(c)
-    return complex(float(c))
 
 
 # --- dense integer polynomials: ascending int lists, no trailing zeros ---
@@ -787,7 +778,7 @@ def numeric_roots(p: Poly, tol: float = 1e-9):
     """
     if p.is_zero() or p.degree() < 1:
         raise ZeroInput("numeric_roots needs degree >= 1")
-    coeffs = [_to_complex(c) for c in p.coeffs]
+    coeffs = [scalar_to_complex(c) for c in p.coeffs]
     scale = max(abs(c) for c in coeffs)
     zeros = 0
     while coeffs and coeffs[0] == 0:

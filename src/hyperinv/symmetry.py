@@ -21,7 +21,6 @@ from functools import reduce
 from math import comb, lcm
 from typing import Optional, Tuple
 
-from ._kernel import Rational
 from .errors import (
     FixedBranchPoint,
     OddTermResidue,
@@ -30,7 +29,7 @@ from .errors import (
     SearchInconclusive,
     SingularModel,
 )
-from .exact import QuadExt, collapse, sqrt_exact, sqrt_in_field
+from .exact import QuadExt, Rational, collapse, sort_key, sqrt_in_field
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
 from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs  # noqa: F401
 from .poly import Poly, _zz_strip, gcd, quad_irrational_roots, resultant
@@ -105,34 +104,6 @@ def _certificate(F: Poly, n: int, m: MoebiusMap, lam) -> InvolutionCertificate:
     except ValueError:
         fixed = None
     return InvolutionCertificate(m, lam, fixed, _fixes_branch(F, n, m))
-
-
-def _entry_key(m: MoebiusMap):
-    out = []
-    for e in m.entries():
-        e = collapse(e)
-        if isinstance(e, QuadExt):
-            out.append((1, e.a, e.b, Rational(e.d)))
-        else:
-            out.append((0, e, Rational(0), Rational(0)))
-    return tuple(out)
-
-
-def _field_sqrt(x, ambient_d):
-    """Square root of x inside Q or Q(sqrt(ambient_d)); None if absent."""
-    x = collapse(x)
-    if isinstance(x, QuadExt):
-        return sqrt_in_field(x)
-    if x < 0 and (ambient_d is None or ambient_d > 0):
-        return None
-    r = sqrt_exact(x) if x >= 0 else None
-    if r is not None:
-        return r
-    if ambient_d is not None:
-        q = sqrt_exact(x / ambient_d) if x / ambient_d >= 0 else None
-        if q is not None and q != 0:
-            return QuadExt(Rational(0), q, ambient_d)
-    return None
 
 
 def _involution_equations(f, n: int):
@@ -215,7 +186,7 @@ def _roots_in_field(p: Poly, ambient_d):
     if p.degree() == 2:
         c0, c1, c2 = p.coeff(0), p.coeff(1), p.coeff(2)
         disc = c1 * c1 - 4 * c2 * c0
-        s = _field_sqrt(disc, ambient_d)
+        s = sqrt_in_field(disc, ambient_d)
         if s is None:
             return []
         return [collapse((-c1 + s) / (2 * c2)), collapse((-c1 - s) / (2 * c2))]
@@ -246,9 +217,8 @@ def detect_involutions(curve) -> list:
     found = {}
 
     def record(m: MoebiusMap, lam):
-        key = _entry_key(m)
-        if key not in found:
-            found[key] = _certificate(F, n, m, lam)
+        if m not in found:
+            found[m] = _certificate(F, n, m, lam)
 
     # Case c = 0: gamma = -X + beta.  Matching the X^(n-1) coefficient of
     # F(-X + beta) = lam * F forces beta; everything else is verification.
@@ -284,10 +254,9 @@ def detect_involutions(curve) -> list:
             raise SearchInconclusive(f"parameter certification failed: {exc}")
         seen = set()
         for a0 in a_candidates:
-            marker = _scalar_marker(a0)
-            if marker in seen:
+            if a0 in seen:
                 continue
-            seen.add(marker)
+            seen.add(a0)
             ambient = _ambient_of(a0)
             specialized = [q for q in (_specialize(E, a0) for E in eqs) if not q.is_zero()]
             if not specialized:
@@ -306,15 +275,8 @@ def detect_involutions(curve) -> list:
     return _sorted_certs(found)
 
 
-def _scalar_marker(x):
-    x = collapse(x)
-    if isinstance(x, QuadExt):
-        return (x.a, x.b, Rational(x.d))
-    return (x, Rational(0), Rational(0))
-
-
 def _sorted_certs(found: dict) -> list:
-    return [found[k] for k in sorted(found)]
+    return sorted(found.values(), key=lambda c: tuple(map(sort_key, c.map.entries())))
 
 
 def even_model(curve, inv: InvolutionCertificate):

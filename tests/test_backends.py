@@ -1,26 +1,31 @@
-"""Kernel backend facade: selection, solver contract, and parity checks.
+"""Kernel backends: selection, solver contract, and parity checks.
 
 The package ships two interchangeable kernels (pure Python and compiled).
-These tests pin the selection rules, the root-iteration contract, exact
+These tests pin the selection rule, the root-iteration contract, exact
 agreement of the two solvers, and drop-in equivalence of the compiled
-rational scalar with fractions.Fraction.
+rational scalar with fractions.Fraction.  Each kernel module is imported
+directly, so both are tested in one process whichever one is active.
 """
 
 import copy
 import math
 import numbers
-import os
 import pickle
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-from hyperinv._kernel import BACKEND, available_backends, load_backend
+from hyperinv import exact, poly
+from hyperinv._kernel import BACKEND, _pykernel, available_backends
+
+try:
+    from hyperinv._kernel import _cykernel
+except ImportError:
+    _cykernel = None
 
 BACKENDS = available_backends()
+KERNELS = {"python": _pykernel, "cython": _cykernel}
 
 needs_cython = pytest.mark.skipif(
     "cython" not in BACKENDS, reason="compiled backend not built"
@@ -35,36 +40,37 @@ class TestSelection:
     def test_active_backend_is_one_of_the_available(self):
         assert BACKEND in BACKENDS
 
-    def test_load_backend_unknown_name(self):
-        with pytest.raises(ValueError):
-            load_backend("fortran")
+    def test_compiled_kernel_used_when_importable(self):
+        assert BACKEND == ("cython" if _cykernel is not None else "python")
+        assert exact.Rational is KERNELS[BACKEND].Rational
+        assert poly.durand_kerner is KERNELS[BACKEND].durand_kerner
 
-    def test_load_backend_returns_scalar_type_and_solver(self):
+    def test_each_kernel_exports_scalar_type_and_solver(self):
         for name in BACKENDS:
-            rational, solver = load_backend(name)
-            assert callable(solver)
-            assert rational(3, 6) == Fraction(1, 2)
+            kernel = KERNELS[name]
+            assert callable(kernel.durand_kerner)
+            assert kernel.Rational(3, 6) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 class TestRootIteration:
     def test_rejects_non_monic_input(self, name):
-        _, dk = load_backend(name)
+        dk = KERNELS[name].durand_kerner
         with pytest.raises(ValueError, match="monic"):
             dk([2.0, 3.0])
 
     def test_constant_polynomial_has_no_roots(self, name):
-        _, dk = load_backend(name)
+        dk = KERNELS[name].durand_kerner
         assert dk([1.0]) == []
         assert dk([]) == []
 
     def test_linear_root_is_exact(self, name):
-        _, dk = load_backend(name)
+        dk = KERNELS[name].durand_kerner
         assert dk([3.5, 1.0]) == [-3.5]
         assert dk([complex(0, -2), 1.0]) == [2j]
 
     def test_cube_roots_of_unity(self, name):
-        _, dk = load_backend(name)
+        dk = KERNELS[name].durand_kerner
         roots = dk([-1.0, 0.0, 0.0, 1.0])
         assert len(roots) == 3
         for z in roots:
@@ -74,7 +80,7 @@ class TestRootIteration:
         assert len(reals) == 1 and abs(reals[0] - 1) < 1e-8
 
     def test_iteration_cap_raises(self, name):
-        _, dk = load_backend(name)
+        dk = KERNELS[name].durand_kerner
         coeffs = [720.0, -1764.0, 1624.0, -735.0, 175.0, -21.0, 1.0]
         with pytest.raises(RuntimeError, match="no convergence after 1 iterations"):
             dk(coeffs, max_iter=1)
@@ -89,8 +95,8 @@ class TestCrossBackendAgreement:
     """
 
     def test_integer_root_ladder_matches_exactly(self):
-        _, py_dk = load_backend("python")
-        _, cy_dk = load_backend("cython")
+        py_dk = _pykernel.durand_kerner
+        cy_dk = _cykernel.durand_kerner
         # (X-1)(X-2)...(X-6), ascending coefficients
         coeffs = [720.0, -1764.0, 1624.0, -735.0, 175.0, -21.0, 1.0]
         expected = py_dk(list(coeffs))
@@ -98,8 +104,8 @@ class TestCrossBackendAgreement:
         assert [repr(z) for z in actual] == [repr(z) for z in expected]
 
     def test_random_complex_corpus_matches_exactly(self):
-        _, py_dk = load_backend("python")
-        _, cy_dk = load_backend("cython")
+        py_dk = _pykernel.durand_kerner
+        cy_dk = _cykernel.durand_kerner
         rng = random.Random(20260825)
         agreed = 0
         for _ in range(40):
@@ -122,8 +128,8 @@ class TestCrossBackendAgreement:
         assert agreed >= 30  # the corpus must mostly exercise the happy path
 
     def test_tolerance_and_cap_are_honoured_identically(self):
-        _, py_dk = load_backend("python")
-        _, cy_dk = load_backend("cython")
+        py_dk = _pykernel.durand_kerner
+        cy_dk = _cykernel.durand_kerner
         coeffs = [-1.0, 0.0, 0.0, 0.0, 0.0, 1.0]  # X^5 - 1
         for tol, cap in [(1e-3, 200), (1e-12, 500)]:
             expected = py_dk(list(coeffs), tol=tol, max_iter=cap)
@@ -136,7 +142,7 @@ class TestRationalScalar:
     """Each backend's Rational must behave exactly like fractions.Fraction."""
 
     def test_construction_forms(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         assert R(3, 6) == Fraction(1, 2)
         half = R(1, -2)
         assert (half.numerator, half.denominator) == (-1, 2)
@@ -149,21 +155,21 @@ class TestRationalScalar:
         assert R(R(5, 8)) == Fraction(5, 8)
 
     def test_rejected_inputs(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         with pytest.raises(ZeroDivisionError):
             R(1, 0)
         with pytest.raises(TypeError):
             R(1, 2.0)
 
     def test_division_by_zero(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         with pytest.raises(ZeroDivisionError):
             R(1, 2) / R(0)
         with pytest.raises(ZeroDivisionError):
             R(0) ** -1
 
     def test_interop_with_fraction_and_int(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         assert R(1, 2) + Fraction(1, 3) == Fraction(5, 6)
         assert 1 - R(1, 4) == Fraction(3, 4)
         assert R(3, 2) * 4 == 6
@@ -171,19 +177,19 @@ class TestRationalScalar:
         assert isinstance(R(1, 2), numbers.Rational)
 
     def test_float_and_complex_mixing(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         assert R(1, 2) + 0.25 == 0.75
         assert R(1, 2) * (2 + 4j) == (1 + 2j)
         assert R(4) ** 0.5 == 2.0
         assert 2 ** R(3) == 8
 
     def test_pow_with_modulus_unsupported(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         with pytest.raises(TypeError):
             pow(R(2), 3, 5)
 
     def test_nan_and_infinity_comparisons(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         nan = float("nan")
         assert not (R(1, 2) < nan)
         assert not (R(1, 2) > nan)
@@ -193,7 +199,7 @@ class TestRationalScalar:
         assert R(1, 2) != float("inf")
 
     def test_rounding_and_conversions(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         assert float(R(1, 4)) == 0.25
         assert int(R(7, 2)) == 3
         assert int(R(-7, 2)) == -3
@@ -209,7 +215,7 @@ class TestRationalScalar:
         assert bool(R(1, 9)) is True
 
     def test_copy_pickle_and_hash(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         x = R(22, 7)
         assert copy.copy(x) == x
         assert copy.deepcopy(x) == x
@@ -219,7 +225,7 @@ class TestRationalScalar:
         assert hash(R(10**40, 3)) == hash(Fraction(10**40, 3))
 
     def test_random_operation_parity(self, name):
-        R, _ = load_backend(name)
+        R = KERNELS[name].Rational
         rng = random.Random(97)
         for _ in range(300):
             a_n, b_n = rng.randint(-60, 60), rng.randint(-60, 60)
@@ -243,39 +249,3 @@ class TestRationalScalar:
                 assert x // y == fx // fy
                 assert x % y == fx % fy
                 assert divmod(x, y) == divmod(fx, fy)
-
-
-class TestEnvironmentOverride:
-    def _probe(self, value):
-        env = dict(os.environ)
-        if value is None:
-            env.pop("HYPERINV_BACKEND", None)
-        else:
-            env["HYPERINV_BACKEND"] = value
-        return subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from hyperinv._kernel import BACKEND; print(BACKEND)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-
-    def test_force_pure_python(self):
-        proc = self._probe("python")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "python"
-
-    @needs_cython
-    def test_force_compiled(self):
-        proc = self._probe("cython")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "cython"
-
-    def test_unknown_name_refuses_to_import(self):
-        proc = self._probe("rust")
-        assert proc.returncode != 0
-        assert "HYPERINV_BACKEND" in proc.stderr

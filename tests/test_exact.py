@@ -3,18 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperinv.errors import RadicandMismatch
 from hyperinv.exact import (
     QuadExt,
+    Rational,
     collapse,
     is_square,
     rat,
     scalar_to_complex,
+    sort_key,
     sqrt_exact,
     sqrt_in_field,
 )
-from hyperinv._kernel import Rational
 
 
 class TestRat:
@@ -129,6 +131,27 @@ class TestQuadExt:
         assert hash(QuadExt(Rational(7, 3), 0, 5)) == hash(Rational(7, 3))
         assert QuadExt(1, 1, 2) != QuadExt(1, -1, 2)
 
+    def test_equality_and_hash_by_value_across_radicands(self):
+        # 1009 is past the square trial-division bound: 2 * 1009^2 is not
+        # reduced, yet 1009*sqrt(2) and 1*sqrt(2 * 1009^2) are one number
+        x, y = QuadExt(0, 1009, 2), QuadExt(0, 1, 2 * 1009 ** 2)
+        assert x - y == 0
+        assert x == y and y == x
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+        assert QuadExt(3, 1009, -2) == QuadExt(3, 1, -2 * 1009 ** 2)
+        assert QuadExt(0, 1009, 2) != QuadExt(0, -1, 2 * 1009 ** 2)
+        assert QuadExt(0, 1, 2) != QuadExt(0, 1, 2 * 1009 ** 2)
+        assert QuadExt(0, 1009, 2) != QuadExt(0, 1009, -2)
+
+    def test_moebius_maps_keyed_by_value(self):
+        from hyperinv.moebius import MoebiusMap
+
+        m1 = MoebiusMap(1, QuadExt(0, 1009, 2), 1, -1)
+        m2 = MoebiusMap(1, QuadExt(0, 1, 2 * 1009 ** 2), 1, -1)
+        assert m1 == m2
+        assert len({m1: 1, m2: 2}) == 1
+
     def test_ordering_real_embedding(self):
         r2 = QuadExt(0, 1, 2)
         assert r2 > 1
@@ -187,6 +210,15 @@ class TestSqrtInField:
         assert sqrt_in_field(QuadExt(0, 1, 2)) is None  # sqrt(sqrt(2))
         assert sqrt_in_field(QuadExt(7, 1, 2)) is None
 
+    def test_rational_root_in_ambient_field(self):
+        assert sqrt_in_field(8, Rational(2)) == QuadExt(0, 2, 2)
+        assert sqrt_in_field(-12, Rational(-3)) == QuadExt(0, 2, -3)
+        assert sqrt_in_field(Rational(9, 4), Rational(2)) == Rational(3, 2)
+        assert sqrt_in_field(-1, Rational(2)) is None
+        assert sqrt_in_field(3, Rational(2)) is None
+        # a QuadExt with zero radical part is rational: it can leave its field
+        assert sqrt_in_field(QuadExt(3, 0, 2), Rational(3)) == QuadExt(0, 1, 3)
+
     def test_random_round_trips(self):
         import random
 
@@ -208,3 +240,64 @@ class TestScalarToComplex:
         assert scalar_to_complex(QuadExt(0, 1, 4 * 2)) == pytest.approx(8 ** 0.5)
         z = scalar_to_complex(QuadExt(1, 1, -4 * 2))
         assert z == pytest.approx(complex(1, 8 ** 0.5))
+
+
+class TestSortKey:
+    def test_rationals_first_then_by_components(self):
+        values = [QuadExt(1, 1, 2), Rational(5), QuadExt(1, -1, 2), Rational(-3),
+                  QuadExt(0, 1, 3), QuadExt(7, 0, 2)]
+        assert sorted(values, key=sort_key) == [
+            Rational(-3), Rational(5), Rational(7), QuadExt(0, 1, 3),
+            QuadExt(1, -1, 2), QuadExt(1, 1, 2)]
+
+
+# --- property tests: QuadExt is a field, also across presentations ---
+
+# Square-free cores; each is paired with a square factor p^2 whose prime p is
+# past the trial-division bound, so core * p^2 stays non-canonical.
+_CORES = [2, 3, 5, 6, 7, 10, -1, -2, -3, -7]
+_BIG_PRIMES = [1009, 1013, 1019, 7919]
+
+
+def _rationals():
+    return st.builds(Rational, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _field_elements(draw, core, size):
+    """size elements of Q(sqrt(core)), each under a radicand core * p^2."""
+    out = []
+    for _ in range(size):
+        p = draw(st.sampled_from([1] + _BIG_PRIMES))
+        a, b = draw(_rationals()), draw(_rationals())
+        out.append(QuadExt(a, b / p, core * p * p))
+    return out
+
+
+_PROPERTY = settings(max_examples=60, deadline=5000, derandomize=True, database=None)
+
+
+class TestQuadExtProperties:
+    @_PROPERTY
+    @given(st.sampled_from(_CORES).flatmap(lambda c: _field_elements(c, 3)))
+    def test_field_axioms(self, xyz):
+        x, y, z = xyz
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + 0 == x and x * 1 == x
+        assert x - x == 0 and x + (-x) == 0
+        if x != 0:
+            assert x * (1 / x) == 1
+            assert (y / x) * x == y
+
+    @_PROPERTY
+    @given(st.sampled_from(_CORES), _rationals(), _rationals(),
+           st.sampled_from(_BIG_PRIMES))
+    def test_equal_values_hash_equal(self, core, a, b, p):
+        x, y = QuadExt(a, b * p, core), QuadExt(a, b, core * p * p)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y, x + 0, y * 1}) == 1
+        z = QuadExt(a, -b, core * p * p)
+        assert (x == z) == (b == 0)

@@ -22,7 +22,7 @@ from hyperinv.invariants import (
     swap_action,
 )
 from hyperinv.poly import Poly, variable
-from hyperinv._kernel import Rational
+from hyperinv.exact import Rational
 
 from conftest import (
     CUBIC_MIDDLE,

@@ -6,7 +6,7 @@ from hyperinv.errors import NotOnLocus, SingularOutput, ZeroLeading
 from hyperinv.invariants import DihedralInvariants, dihedral_from_normal, locus_eval
 from hyperinv.moduli import RationalModelResult, rational_model, round_trip_check
 from hyperinv.poly import Poly
-from hyperinv._kernel import Rational
+from hyperinv.exact import Rational
 
 
 class TestRationalModel:

@@ -14,7 +14,7 @@ from hyperinv.moebius import (
     pullback_form,
 )
 from hyperinv.poly import Poly, variable
-from hyperinv._kernel import Rational
+from hyperinv.exact import Rational
 
 from conftest import random_moebius
 

@@ -12,7 +12,7 @@ from hyperinv.oracle import (
     reduced_group,
 )
 from hyperinv.poly import Poly
-from hyperinv._kernel import Rational
+from hyperinv.exact import Rational
 
 from conftest import (
     CUBIC_MIDDLE,

@@ -23,7 +23,7 @@ from hyperinv.poly import (
     variable,
 )
 from hyperinv.poly import _field_gcd, _zz_heu_gcd, _zz_prs_gcd
-from hyperinv._kernel import Rational
+from hyperinv.exact import Rational
 
 
 def _random_poly(rng, max_deg=6, lo=-9, hi=9):
