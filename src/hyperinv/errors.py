@@ -27,10 +27,6 @@ class ZeroInput(HyperinvError):
     """Resultant of a zero polynomial is undefined here."""
 
 
-class ConstantInput(HyperinvError):
-    """Discriminant needs degree >= 1."""
-
-
 class NonConvergence(HyperinvError):
     """Numeric root iteration hit its iteration cap."""
 

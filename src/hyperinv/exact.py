@@ -93,9 +93,10 @@ class QuadExt:
     presentations of the same extension compare equal.  Two irrational
     values only interoperate in arithmetic when their radicands name one
     field (d1*d2 a square); a value with b == 0 is rational and mixes with
-    anything.  Equality and hashing go by value, so a radicand left
-    non-canonical (a square prime factor past the trial bound) still gives
-    one set or dict key per field element.
+    anything.  Equality, hashing and sort_key all read one value key, so a
+    radicand left non-canonical (a square prime factor past the trial
+    bound) still gives one set or dict key and one sort position per field
+    element.
     """
 
     __slots__ = ("a", "b", "d")
@@ -220,13 +221,17 @@ class QuadExt:
 
     # --- comparisons ---
 
+    def _value_key(self):
+        """(a, b^2 d, b > 0): equal exactly when the values are equal.
+
+        b1 sqrt(d1) = b2 sqrt(d2) iff b1^2 d1 = b2^2 d2 with b1, b2 of one
+        sign, so the key does not depend on how the radicand is written.
+        """
+        return self.a, self.b * self.b * self.d, self.b > 0
+
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if self.d == other.d:
-                return self.a == other.a and self.b == other.b
-            # b1 sqrt(d1) = b2 sqrt(d2) iff b1^2 d1 = b2^2 d2 with b1, b2 of one sign
-            return (self.a == other.a and (self.b > 0) == (other.b > 0)
-                    and self.b * self.b * self.d == other.b * other.b * other.d)
+            return self._value_key() == other._value_key()
         try:
             q = rat(other)
         except (TypeError, ValueError):
@@ -236,7 +241,7 @@ class QuadExt:
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b * self.b * self.d, self.b > 0))
+        return hash(self._value_key())
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -343,14 +348,15 @@ def sqrt_in_field(x, ambient=None):
 
 
 def sort_key(x):
-    """Sort key of an exact scalar: rationals first, then QuadExt by (a, b, d).
+    """Sort key of an exact scalar: rationals first, then QuadExt by _value_key.
 
-    Orders map entries, invariants and certificates deterministically.
+    Orders map entries, invariants, roots and certificates deterministically;
+    equal values get equal keys whatever their radicands.
     """
     x = collapse(x)
     if isinstance(x, QuadExt):
-        return (1, x.a, x.b, x.d)
-    return (0, x, Rational(0), Rational(0))
+        return (1,) + x._value_key()
+    return (0, x)
 
 
 def scalar_to_complex(x) -> complex:

@@ -292,30 +292,16 @@ class Classification:
         return iter((self.invariants, self.label))
 
 
-def _radicand_core(x) -> int:
-    """Square-free core of a fixed point's radicand; 1 for rational points."""
-    if not isinstance(x, QuadExt):
-        return 1
-    num = x.d.numerator * x.d.denominator
-    n, k = abs(num), 2
-    while k * k <= n:
-        while n % (k * k) == 0:
-            n //= k * k
-        k += 1
-    return n if num > 0 else -n
-
-
 def _certificate_key(cert, u: DihedralInvariants):
-    # Field preference first (rational fixed points, then smallest real
-    # radicand core), then the conjugation-invariant u-tuple, and only then
-    # the map entries as a final deterministic tie-break.
-    cores = {_radicand_core(p) for p in cert.fixed_points} - {1}
-    if not cores:
-        field_rank = (0, 1, 0)
-    else:
-        field_rank = (1, max(abs(c) for c in cores), int(any(c < 0 for c in cores)))
-    entry_key = tuple(sort_key(e) for e in cert.map.entries())
-    return field_rank, tuple(sort_key(x) for x in u.u), entry_key
+    # Field class of the fixed points (0 rational, 1 real quadratic, 2
+    # imaginary quadratic), then the conjugation-invariant u-tuple, and only
+    # then the map entries as a final deterministic tie-break.  Each part is
+    # compared by value, never by how a radicand is written, and costs
+    # polynomial time in the size of the certificate.
+    radicands = [p.d for p in cert.fixed_points if isinstance(p, QuadExt)]
+    field_class = 0 if not radicands else (1 if radicands[0] > 0 else 2)
+    return (field_class, tuple(map(sort_key, u.u)),
+            tuple(map(sort_key, cert.map.entries())))
 
 
 def invariants_of(curve) -> Classification:
@@ -358,19 +344,16 @@ def invariants_of(curve) -> Classification:
     # A curve handed over as an even model is classified through that
     # presentation's own involution X -> -X, so u reads straight off the
     # given coefficients.  Any other presentation uses a deterministic
-    # choice that depends only on the isomorphism class: certificates are
-    # ranked by fixed-point field, then by their (conjugation-invariant)
-    # u-tuple, so a rational change of coordinates cannot move the output.
-    chosen = None
+    # choice that depends only on the isomorphism class: the least
+    # _certificate_key, so a rational change of coordinates cannot move the
+    # output.
+    pool = usable
     F = curve.F
     if curve.even_degree and all(F.coeff(i) == 0 for i in range(1, F.degree(), 2)):
         from .moebius import MoebiusMap
 
         neg = MoebiusMap(-1, 0, 0, 1)
-        for cert in usable:
-            if cert.map == neg:
-                chosen = cert
-                break
+        pool = [c for c in usable if c.map == neg] or usable
 
     def _outcome(cert):
         b, M = even_model(even_curve, cert)
@@ -378,15 +361,7 @@ def invariants_of(curve) -> Classification:
         u = DihedralInvariants(tuple(collapse(x) for x in u.u), u.genus)
         return cert, b, M, canonicalize_invariants(u)
 
-    if chosen is not None:
-        cert, b, M, u = _outcome(chosen)
-    else:
-        best = None
-        for entry in map(_outcome, usable):
-            key = _certificate_key(entry[0], entry[3])
-            if best is None or key < best[0]:
-                best = (key, entry)
-        cert, b, M, u = best[1]
+    cert, b, M, u = min(map(_outcome, pool), key=lambda o: _certificate_key(o[0], o[3]))
 
     if u.is_zero():
         flags.append("u-zero-degenerate")

@@ -18,7 +18,7 @@ from .curve import HyperellipticCurve
 from .errors import NotOnLocus, SingularModel, SingularOutput, ZeroLeading
 from .exact import QuadExt, Rational, collapse, rat
 from .invariants import DihedralInvariants, dihedral_from_even, locus_eval
-from .poly import Poly, discriminant
+from .poly import Poly, gcd
 
 
 def _coerce(x):
@@ -72,8 +72,8 @@ def rational_model(u) -> RationalModelResult:
     Preconditions: the leading invariant u_1 is nonzero (it becomes the
     leading coefficient) and one of the two locus factors vanishes.  Raises
     ZeroLeading, NotOnLocus, or SingularOutput when the reconstruction
-    cannot produce a valid curve; SingularOutput reports the offending
-    discriminant.
+    cannot produce a valid curve; SingularOutput reports the repeated
+    factor gcd(F, F').
     """
     inv = _as_invariants(u)
     if inv[0] == 0:
@@ -99,7 +99,7 @@ def rational_model(u) -> RationalModelResult:
         curve = HyperellipticCurve(F)
     except SingularModel as exc:
         raise SingularOutput(
-            f"reconstructed model is singular (discriminant {discriminant(F)})"
+            f"reconstructed model is singular (repeated factor {gcd(F, F.derivative())})"
         ) from exc
 
     got = dihedral_from_even(b)

@@ -14,9 +14,8 @@ split three ways:
 gcd of rational polynomials runs the heuristic GCDHEU on their integer
 models (dense ascending int lists), with a primitive-PRS fallback; Euclid
 over the coefficient field remains for QuadExt coefficients.  The resultant
-of Poly values uses the fraction-free subresultant remainder sequence; for
-bivariate integer input in Z[a][b] (lists of int lists) one argument must be
-linear in b, and a closed form gives the resultant.
+takes bivariate integer input in Z[a][b] (lists of int lists) with one
+argument linear in b, and a closed form gives it.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ import cmath
 from math import gcd as igcd, isqrt
 
 from ._kernel import durand_kerner
-from .errors import (BothZero, ConstantInput, NonConvergence,
+from .errors import (BothZero, NonConvergence,
                      ReconstructionInconclusive, ZeroInput)
-from .exact import QuadExt, Rational, rat, scalar_to_complex, sqrt_exact
+from .exact import QuadExt, Rational, rat, scalar_to_complex, sort_key, sqrt_exact
 
 NEG_INF = float("-inf")
 
@@ -398,7 +397,7 @@ def _zz_gcd(f, g):
     return _zz_heu_gcd(f, g) or _zz_prs_gcd(f, g)
 
 
-# --- gcd, resultant, discriminant ---
+# --- gcd and resultant ---
 
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor over the coefficient field.
@@ -435,80 +434,17 @@ def _prem(a: Poly, b: Poly) -> Poly:
         r = r.scale(lb) - b.scale(r.lead()).shift(shift)
         e -= 1
     if e > 0:
-        r = r.scale(_scalar_pow(lb, e))
+        r = r.scale(lb ** e)
     return r
 
 
-def _scalar_pow(s, k: int):
-    if k < 1:
-        raise ValueError("power must be positive here")
-    out = s
-    for _ in range(k - 1):
-        out = out * s
-    return out
+def resultant(p, q) -> Poly:
+    """Res_b(p, q) of bivariate integer polynomials in Z[a][b], as a Poly in a.
 
-
-def resultant(p, q):
-    """Resultant of p and q.
-
-    Sign and scaling follow the convention
+    p and q are lists ascending in b of int lists ascending in a, and one of
+    them must be linear in b.  Sign and scaling follow the convention
     Res(p, q) = lead(p)^deg(q) * lead(q)^deg(p) * prod(alpha_i - beta_j)
-    over the root multisets.  p and q are Poly values over a coefficient
-    field, resolved by the subresultant remainder sequence; or bivariate
-    integer polynomials in Z[a][b], each a list ascending in b of int lists
-    ascending in a, of which one must be linear in b.  The bivariate result
-    is a Poly in a.
-    """
-    if not isinstance(p, Poly):
-        return _linear_resultant_zz(p, q)
-    if p.is_zero() or q.is_zero():
-        raise ZeroInput("resultant of the zero polynomial")
-    a, b = p, q
-    sign = 1
-    if a.degree() < b.degree():
-        if (a.degree() * b.degree()) % 2 == 1:
-            sign = -1
-        a, b = b, a
-    if b.degree() == 0:
-        if a.degree() == 0:
-            return Rational(1)
-        out = _scalar_pow(b.lead(), a.degree())
-        return -out if sign < 0 else out
-    g, h = Rational(1), Rational(1)
-    while True:
-        d = a.degree() - b.degree()
-        if (a.degree() % 2 == 1) and (b.degree() % 2 == 1):
-            sign = -sign
-        r = _prem(a, b)
-        if r.is_zero():
-            return Rational(0) if b.degree() > 0 else _finish_resultant(sign, a, b, h)
-        a = b
-        divisor = g * _scalar_pow(h, d) if d > 0 else g
-        b = Poly([c / divisor for c in r.coeffs])
-        g = a.lead()
-        if d == 0:
-            pass
-        elif d == 1:
-            h = g
-        else:
-            h = _scalar_pow(g, d) / _scalar_pow(h, d - 1)
-        if b.degree() <= 0:
-            if b.is_zero():
-                return Rational(0)
-            return _finish_resultant(sign, a, b, h)
-
-
-def _finish_resultant(sign, a, b, h):
-    da = a.degree()
-    res = _scalar_pow(b.lead(), da)
-    if da > 1:
-        res = res / _scalar_pow(h, da - 1)
-    return -res if sign < 0 else res
-
-
-def _linear_resultant_zz(p, q) -> Poly:
-    """Res_b(p, q) over Z[a] when p or q is p1*b + p0.
-
+    over the root multisets in b.  For the linear one p1*b + p0,
     Res(p1*b + p0, E) = sum_k E_k (-p0)^k p1^(m-k) for E of degree m in b,
     and Res(E, p1*b + p0) = (-1)^m Res(p1*b + p0, E).
     """
@@ -528,16 +464,6 @@ def _linear_resultant_zz(p, q) -> Poly:
         p1_pow = _zz_mul(p1_pow, p1)
         acc = _zz_add(_zz_mul(acc, neg_p0), _zz_mul(row, p1_pow))
     return Poly([sign * c for c in acc])
-
-
-def discriminant(p: Poly):
-    """Discriminant via Res(p, p') with the usual degree-dependent sign."""
-    n = p.degree()
-    if p.is_zero() or n < 1:
-        raise ConstantInput("discriminant needs degree >= 1")
-    res = resultant(p, p.derivative())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * (res / p.lead())
 
 
 def is_square_free(p: Poly) -> bool:
@@ -765,7 +691,7 @@ def quad_irrational_roots(p: Poly):
             for _ in range(mult):
                 quads.append(QuadExt(half_t, half, disc))
                 quads.append(QuadExt(half_t, -half, disc))
-    quads.sort(key=lambda z: (z.d, z.a, z.b))
+    quads.sort(key=sort_key)
     return out + quads
 
 

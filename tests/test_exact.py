@@ -297,7 +297,7 @@ class TestQuadExtProperties:
            st.sampled_from(_BIG_PRIMES))
     def test_equal_values_hash_equal(self, core, a, b, p):
         x, y = QuadExt(a, b * p, core), QuadExt(a, b, core * p * p)
-        assert x == y and hash(x) == hash(y)
+        assert x == y and hash(x) == hash(y) and sort_key(x) == sort_key(y)
         assert len({x, y, x + 0, y * 1}) == 1
         z = QuadExt(a, -b, core * p * p)
         assert (x == z) == (b == 0)

@@ -1,10 +1,13 @@
 """Dihedral invariants, locus factors, and the classification tables."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
-from hyperinv.errors import ExcludedLocusPoint, ZeroEndCoefficient
+from hyperinv.curve import transform
+from hyperinv.errors import ExcludedLocusPoint, HyperinvError, ZeroEndCoefficient
 from hyperinv.exact import QuadExt
 from hyperinv.invariants import (
     DihedralInvariants,
@@ -23,6 +26,8 @@ from hyperinv.invariants import (
 )
 from hyperinv.poly import Poly, variable
 from hyperinv.exact import Rational
+from hyperinv.moebius import MoebiusMap
+from hyperinv.symmetry import even_model
 
 from conftest import (
     CUBIC_MIDDLE,
@@ -309,3 +314,70 @@ class TestClassifyIntegration:
         u, label = classify(curve(SLICE_15))
         assert u.u == (6750, 450)
         assert label.name == "Z3⋊D8"
+
+
+@contextmanager
+def _time_budget(seconds):
+    """Fail the enclosed block once it runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _v4_genus3_curve():
+    # A V4 of reduced involutions, all usable; their fixed points lie over
+    # Q(sqrt 2), Q(sqrt 7) and Q(sqrt -14).
+    x = variable()
+    F = ((x - 5) * (5 * x - 2) * (2 * x - 13) * (13 * x - 4)
+         * (x - 4) * (2 * x - 1) * (x - 10) * (5 * x - 1))
+    return curve(F.coeffs)
+
+
+class TestCertificateRanking:
+    def test_real_field_before_imaginary_then_least_u(self):
+        c = _v4_genus3_curve()
+        r = classify(c)
+        by_radicand = {}
+        for cert in r.certificates:
+            b, _ = even_model(c, cert)
+            by_radicand[cert.fixed_points[0].d] = canonicalize_invariants(
+                dihedral_from_even(b)).u
+        assert sorted(by_radicand) == [-14, 2, 7]
+        # Q(sqrt -14) has the least u but is imaginary; Q(sqrt 2) beats Q(sqrt 7) on u
+        assert min(by_radicand.values()) == by_radicand[-14]
+        assert r.invariants.u == by_radicand[2] == (
+            Rational(693627383151601690829312, 1083924838267604688481),
+            Rational(9668213979488543424, 41816474606211361),
+            Rational(1177817798432, 32923013809),
+        )
+
+    def test_choice_survives_large_coordinate_changes(self):
+        # moved copies carry square prime factors past the radicand trial
+        # bound, so a rank read off the stored radicand would move here
+        c = _v4_genus3_curve()
+        base = classify(c).invariants.u
+        rng = random.Random(2024)
+        done = 0
+        while done < 8:
+            m = MoebiusMap(*(rng.randint(-3000, 3000) for _ in range(4)))
+            try:
+                moved, _ = transform(c, m)
+            except HyperinvError:
+                continue  # singular draw
+            assert classify(moved).invariants.u == base, m
+            done += 1
+
+    def test_huge_coefficient_classified_in_polynomial_time(self):
+        # Y^2 = X^6 + 5X^3 + P^3 with P = 10^20 + 39 is a D12 curve whose
+        # certificate radicands carry P; ranking must not factor them
+        P = 10**20 + 39
+        with _time_budget(20):
+            r = classify(curve([P**3, 0, 0, 5, 0, 0, 1]))
+        assert r.label.name == "D12"

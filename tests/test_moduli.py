@@ -48,10 +48,12 @@ class TestRationalModel:
         # the error reports both factor values
         assert "2080" in str(info.value) and "3104" in str(info.value)
 
-    def test_singular_output_reports_discriminant(self):
+    def test_singular_output_reports_repeated_factor(self):
+        # the model 54X^6 + 54X^4 + 18X^2 + 2 = 2 (3X^2 + 1)^3, so
+        # gcd(F, F') = (X^2 + 1/3)^2
         with pytest.raises(SingularOutput) as info:
             rational_model((54, 18))
-        assert "discriminant" in str(info.value)
+        assert "repeated factor X^4 + 2/3*X^2 + 1/9" in str(info.value)
 
 
 class TestRoundTrip:
