@@ -114,7 +114,7 @@ class QuadExt:
         return self.b == 0
 
     def conj(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _make(self.a, -self.b, self.d)
 
     def norm(self) -> Rational:
         """Field norm a^2 - b^2 d; zero only for the zero element."""
@@ -214,7 +214,7 @@ class QuadExt:
         return out
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _make(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
@@ -306,10 +306,19 @@ class QuadExt:
 
 
 def _make(a, b, d):
-    """Build a QuadExt, collapsing to Rational when the radical part is zero."""
+    """Build a QuadExt, collapsing to Rational when the radical part is zero.
+
+    Internal constructor for results of arithmetic on existing values: a and
+    b are already Rational and d is a radicand taken from a QuadExt, so it
+    is canonical and not a square.  Re-running __init__'s coercion, square
+    test and canonicalisation would change nothing; QuadExt(...) called
+    from outside keeps all of that validation.
+    """
     if b == 0:
         return a
-    return QuadExt(a, b, d)
+    x = object.__new__(QuadExt)
+    x.a, x.b, x.d = a, b, d
+    return x
 
 
 def collapse(x):

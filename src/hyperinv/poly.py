@@ -660,16 +660,19 @@ def quad_irrational_roots(p: Poly):
     sints, _ = sf.integer_model()
     roots, err = _certified_roots(sints)
     bound = abs(sints[-1])
+    # Pair sums and products are formed exactly from the roots' binary
+    # values: mpmath arithmetic out here would round to its default 53 bits
+    # and lose the certified digits.
+    parts = [(_mpf_to_rational(r.real), _mpf_to_rational(r.imag)) for r in roots]
+    tol = 10 * _mpf_to_rational(err) + Rational(1, 10 ** 30)
     seen = set()
     quads = []
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            tr = roots[i] + roots[j]
-            nr = roots[i] * roots[j]
-            if abs(tr.imag) > 10 * err + 1e-30 or abs(nr.imag) > 10 * err + 1e-30:
+    for i, (xi, yi) in enumerate(parts):
+        for xj, yj in parts[i + 1:]:
+            if abs(yi + yj) > tol or abs(xi * yj + yi * xj) > tol:
                 continue
-            t = _limit_denominator(_mpf_to_rational(tr.real), bound)
-            n = _limit_denominator(_mpf_to_rational(nr.real), bound)
+            t = _limit_denominator(xi + xj, bound)
+            n = _limit_denominator(xi * xj - yi * yj, bound)
             if (t, n) in seen:
                 continue
             seen.add((t, n))

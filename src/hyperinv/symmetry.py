@@ -7,8 +7,10 @@ gamma = (aX + b)/(X - a) (two unknowns).  The second case is solved by
 exact elimination over Z[a][b]: the pullback-proportionality equations of
 F's integer model are built as int lists, the X^(n-1) equation is linear in
 b, and resultants against it collapse the system to a single univariate gcd
-whose rational and quadratic-irrational roots are then certified and
-verified against F itself.
+in a whose rational and quadratic-irrational roots are certified.  Each
+such a then fixes b through that linear pivot, b = -p0(a)/p1(a); only at
+the one rational a where the pivot vanishes are the other equations
+solved for b.  Every candidate map is verified against F itself.
 
 Completeness is claimed only for parameters in Q or a quadratic extension;
 involutions needing higher-degree fields are intentionally not reported.
@@ -18,18 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, lcm
+from math import comb
 from typing import Optional, Tuple
 
 from .errors import (
     FixedBranchPoint,
     OddTermResidue,
-    RadicandMismatch,
     ReconstructionInconclusive,
     SearchInconclusive,
-    SingularModel,
 )
-from .exact import QuadExt, Rational, collapse, sort_key, sqrt_in_field
+from .exact import Rational, collapse, sort_key
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
 from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs  # noqa: F401
 from .poly import Poly, _zz_strip, gcd, quad_irrational_roots, resultant
@@ -134,31 +134,6 @@ def _involution_equations(f, n: int):
     return eqs
 
 
-def _specialize(E, a0) -> Poly:
-    """Evaluate the a-level of an equation in Z[a][b] at a Rational or QuadExt a0.
-
-    Horner runs on ints: with a0 = (p + q sqrt d)/r, a row of degree D takes
-    the value sum_t c_t (p + q sqrt d)^t r^(D-t) over r^D.
-    """
-    if isinstance(a0, QuadExt):
-        x, y, d = a0.a, a0.b, int(a0.d)
-        r = lcm(x.denominator, y.denominator)
-        p, q = x.numerator * (r // x.denominator), y.numerator * (r // y.denominator)
-    else:
-        p, q, r, d = a0.numerator, 0, a0.denominator, 0
-    out = []
-    for row in E:
-        u = v = 0  # u + v sqrt d
-        rk = 1
-        for c in reversed(row):
-            u, v = u * p + v * q * d + c * rk, u * q + v * p
-            rk *= r
-        den = rk // r if row else 1
-        u = Rational(u, den)
-        out.append(QuadExt(u, Rational(v, den), d) if v else u)
-    return Poly(out)
-
-
 def _off_branch(D: Poly, F: Poly) -> Poly:
     """D with every factor it shares with F divided out.
 
@@ -170,31 +145,33 @@ def _off_branch(D: Poly, F: Poly) -> Poly:
     return D
 
 
-def _roots_in_field(p: Poly, ambient_d):
-    """Roots of p lying in Q or the ambient quadratic field.
+def _b_values(eqs, a0) -> list:
+    """Every b solving all the c = 1 equations at a root a0 of the resolvent.
 
-    Rational-coefficient polynomials get the full rational + quadratic
-    treatment; QuadExt-coefficient ones are solved directly for degree <= 2
-    and skipped beyond that (higher-degree parameters are out of scope).
+    The pivot eqs[0] is p1*b + p0 with p1 = fn*f'(a) and
+    p0 = fn*a^2*f'(a) - (n*fn*a + f_(n-1))*f(a).  For any other equation E
+    of degree m in b, Res(pivot, E) = p1^m * E(-p0/p1) (E itself when
+    m = 0), and a nonconstant resolvent divides every such resultant that
+    is not identically zero; a zero one vanishes at b = -p0/p1 for every a.
+    Three cases follow at a0:
+    - p1(a0) != 0: b0 = -p0(a0)/p1(a0), in Q(a0), makes every equation
+      vanish, so it is the one solution;
+    - p1(a0) = 0 != p0(a0): the pivot has no solution;
+    - p1(a0) = p0(a0) = 0: f'(a0) = 0 leaves p0(a0) = -(n*fn*a0 + f_(n-1))*f(a0),
+      and f(a0) != 0 (_off_branch), so a0 = -f_(n-1)/(n*fn) is rational.
+      Only here are the remaining equations specialised, at a rational a0,
+      and the roots of their gcd over Q are the solutions.
     """
-    if p.degree() <= 0:
+    p0, p1 = (Poly(row).eval(a0) for row in eqs[0])
+    if p1 != 0:
+        return [collapse(-p0 / p1)]
+    if p0 != 0:
         return []
-    if all(isinstance(c, Rational) for c in p.coeffs):
-        return quad_irrational_roots(p)
-    if p.degree() == 1:
-        return [collapse(-p.coeff(0) / p.coeff(1))]
-    if p.degree() == 2:
-        c0, c1, c2 = p.coeff(0), p.coeff(1), p.coeff(2)
-        disc = c1 * c1 - 4 * c2 * c0
-        s = sqrt_in_field(disc, ambient_d)
-        if s is None:
-            return []
-        return [collapse((-c1 + s) / (2 * c2)), collapse((-c1 - s) / (2 * c2))]
-    return []
-
-
-def _ambient_of(x):
-    return x.d if isinstance(x, QuadExt) else None
+    specialized = [Poly([Poly(row).eval(a0) for row in E]) for E in eqs[1:]]
+    specialized = [q for q in specialized if not q.is_zero()]
+    if not specialized:
+        return []
+    return quad_irrational_roots(reduce(gcd, specialized))
 
 
 def detect_involutions(curve) -> list:
@@ -231,7 +208,8 @@ def detect_involutions(curve) -> list:
 
     # Case c = 1: gamma = (aX + b)/(X - a); outer variable b, inner a.
     # The X^(n-1) equation, first in the list, is fn*F'(a)*b + p0(a) with
-    # F' != 0: the linear pivot of every resultant.
+    # F' != 0: the linear pivot of every resultant.  The resolvent D gives
+    # the candidates a0, and the pivot then reads off b0 (_b_values).
     eqs = _involution_equations(F.integer_model()[0], n)
     D = None
     for E in eqs[1:]:
@@ -252,24 +230,12 @@ def detect_involutions(curve) -> list:
             a_candidates = quad_irrational_roots(D)
         except ReconstructionInconclusive as exc:
             raise SearchInconclusive(f"parameter certification failed: {exc}")
-        seen = set()
-        for a0 in a_candidates:
-            if a0 in seen:
-                continue
-            seen.add(a0)
-            ambient = _ambient_of(a0)
-            specialized = [q for q in (_specialize(E, a0) for E in eqs) if not q.is_zero()]
-            if not specialized:
-                continue
-            common = reduce(gcd, specialized)
-            for b0 in _roots_in_field(common, ambient):
+        for a0 in dict.fromkeys(a_candidates):
+            for b0 in _b_values(eqs, a0):
                 if a0 * a0 + b0 == 0:
                     continue
-                try:
-                    m = MoebiusMap(a0, b0, 1, -a0)
-                    lam = is_automorphism(F, m, n)
-                except (RadicandMismatch, SingularModel):
-                    continue
+                m = MoebiusMap(a0, b0, 1, -a0)
+                lam = is_automorphism(F, m, n)
                 if lam is not None:
                     record(m, lam)
     return _sorted_certs(found)

@@ -380,6 +380,16 @@ class TestQuadIrrationalRoots:
         roots = quad_irrational_roots(p)
         assert set(roots) == {QuadExt(1, 1, 2), QuadExt(1, -1, 2)}
 
+    def test_pairs_with_large_leading_coefficients(self):
+        # pair sums and products need more than 53 bits to reconstruct
+        q1 = Poly([219429, -577341, 457873])
+        q2 = Poly([540189, -1141047, 634291])
+        roots = quad_irrational_roots(q1 * q2)
+        assert len(roots) == 4
+        assert all(isinstance(r, QuadExt) for r in roots)
+        for r in roots:
+            assert q1(r) == 0 or q2(r) == 0
+
     def test_cubic_irrational_factor_ignored(self):
         x = variable()
         p = (x**3 - 2) * (x - 5)

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperinv.symmetry as symmetry
-from hyperinv.curve import to_even_degree
+from hyperinv.curve import to_even_degree, transform
 from hyperinv.errors import FixedBranchPoint, SearchInconclusive
-from hyperinv.invariants import dihedral_from_even, dihedral_from_normal
+from hyperinv.exact import QuadExt
+from hyperinv.invariants import classify, dihedral_from_even, dihedral_from_normal
 from hyperinv.moebius import MoebiusMap, pullback_coeffs, pullback_form
 from hyperinv.poly import Poly, variable
 from hyperinv.symmetry import candidate_orders, detect_involutions, even_model
@@ -89,6 +91,70 @@ class TestDetectInvolutions:
         assert MoebiusMap(1, 0, -4, -1) in [c.map for c in fixing]
 
 
+class TestPivotRead:
+    # Each candidate a0 of the c = 1 search fixes b through the pivot
+    # p1(a)*b + p0(a); the other equations are solved only where both vanish.
+
+    def test_fallback_where_the_pivot_vanishes(self):
+        # (X - 3)^6 + 4(X - 3)^3 + 1: p1 = p0 = 0 at a = -f5/(6 f6) = 3
+        f = [622, -1350, 1179, -536, 135, -18, 1]
+        p0, p1 = (Poly(row) for row in symmetry._involution_equations(f, 6)[0])
+        assert p0(3) == p1(3) == 0
+        certs = detect_involutions(curve(f))
+        assert len(certs) == 3
+        assert all(c.map.a / c.map.c == 3 for c in certs)
+        assert MoebiusMap(3, -8, 1, -3) in [c.map for c in certs]
+
+    def test_pivot_reads_b_at_irrational_candidates(self):
+        # X^6 - 1 pulled back by (2X + 1)/(X + 3)
+        f = [-728, -1446, -1155, -380, 105, 174, 63]
+        c = curve(f)
+        p1 = Poly(symmetry._involution_equations(f, 6)[0][1])
+        certs = detect_involutions(c)
+        assert len(certs) == 7
+        irrational = [t for t in certs
+                      if any(isinstance(e, QuadExt) for e in t.map.entries())]
+        assert len(irrational) == 4
+        for t in irrational:
+            assert {e.d for e in t.map.entries() if isinstance(e, QuadExt)} == {-3}
+            a0 = t.map.a / t.map.c
+            assert isinstance(a0, QuadExt) and p1(a0) != 0
+            assert pullback_form(c.F, t.map, 6) == c.F.scale(t.lam)
+
+    def test_moved_curve_keeps_every_certificate(self):
+        # X^6 - 1 moved by (11X - 27)/(27X - 20): its resolvent has two
+        # quadratic factors with six-digit leading coefficients
+        f = [323420489, -428627862, -785034585, 2625318540, -3028546665,
+             1695778578, -385648928]
+        assert len(detect_involutions(curve(f))) == 7
+
+
+_BASES = {
+    "X^6 - 1": [-1, 0, 0, 0, 0, 0, 1],
+    "X^6 + 4X^3 + 1": CUBIC_MIDDLE,
+    "X^8 + 1": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+}
+
+
+def _search_and_invariants(c):
+    ec, _ = to_even_degree(c)
+    return len(detect_involutions(ec)), classify(c).invariants
+
+
+_ENTRY = st.integers(-30, 30)
+_MAPS = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2])
+
+
+class TestMovedCurves:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(base=st.sampled_from(sorted(_BASES)), entries=_MAPS)
+    def test_certificates_and_invariants_survive_moebius_maps(self, base, entries):
+        c = curve(_BASES[base])
+        moved, _ = transform(c, MoebiusMap(*entries))
+        assert _search_and_invariants(moved) == _search_and_invariants(c)
+
+
 def _random_even_model(rng, g):
     f = [rng.randint(-20, 20) for _ in range(2 * g + 2)]
     return f + [rng.choice([-3, -2, -1, 1, 2, 3])]
@@ -131,6 +197,10 @@ class TestInvolutionEquations:
                 derivative = [i * c for i, c in enumerate(f)][1:]
                 assert len(pivot) == 2
                 assert pivot[1] == [f[n] * c for c in derivative]
+                # p0 = fn a^2 f'(a) - (n fn a + f_(n-1)) f(a)
+                F, a = Poly(f), variable()
+                p0 = (a**2 * F.derivative()).scale(f[n]) - Poly([f[n - 1], n * f[n]]) * F
+                assert Poly(pivot[0]) == p0
 
     def test_branch_point_factors_leave_the_candidates(self):
         x = variable()
