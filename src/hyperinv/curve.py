@@ -57,6 +57,25 @@ class HyperellipticCurve:
         return f"Y^2 = {self.F}"
 
 
+def _moved_curve(G: Poly, genus: int) -> HyperellipticCurve:
+    """Curve Y^2 = G for a Moebius image G of a valid model, without re-validation.
+
+    Internal constructor for transform and to_even_degree.  A valid model F
+    of genus g is square-free of degree n - 1 or n, n = 2g + 2, so as a
+    binary form of degree n it has n distinct roots on the projective line
+    (infinity among them when deg F = n - 1).  G = (cX + d)^n F(m(X)) is
+    that binary form composed with the bijection m, whose roots are the n
+    distinct preimages m^-1(roots of F): G is square-free, of degree n - 1
+    or n, and the genus is unchanged.  gcd(G, G') would therefore only
+    confirm what is known; HyperellipticCurve(...) called from outside keeps
+    the full validation.
+    """
+    out = object.__new__(HyperellipticCurve)
+    object.__setattr__(out, "F", G)
+    object.__setattr__(out, "genus", genus)
+    return out
+
+
 def new_curve(coeffs) -> HyperellipticCurve:
     """Curve from ascending coefficients; validates degree and square-freeness."""
     return HyperellipticCurve(Poly(coeffs))
@@ -73,7 +92,7 @@ def transform(curve: HyperellipticCurve, m: MoebiusMap):
     G = pullback_form(curve.F, m, n)
     if G.degree() < n - 1:
         raise IllegalCollapse("transform collapsed the branch divisor")
-    out = HyperellipticCurve(G)
+    out = _moved_curve(G, curve.genus)
     lam = G.lead() / curve.F.lead()
     return out, lam
 
@@ -95,4 +114,4 @@ def to_even_degree(curve: HyperellipticCurve):
     while F.eval(Rational(r)) == 0:
         r += 1
     G = pullback_coeffs(F, Rational(r), Rational(1), Rational(1), Rational(0), n)
-    return HyperellipticCurve(G), MoebiusMap(r, 1, 1, 0)
+    return _moved_curve(G, curve.genus), MoebiusMap(r, 1, 1, 0)

@@ -356,6 +356,20 @@ def sqrt_in_field(x, ambient=None):
     return None
 
 
+def pairs_over_one_radicand(values):
+    """(d, pairs): values[i] = x + y*sqrt(d) with rational (x, y) = pairs[i].
+
+    d is the radicand of the first irrational value, None when every value
+    is rational (then every y is 0); a value in another quadratic field
+    raises RadicandMismatch.
+    """
+    ref = next((v for v in values if isinstance(v, QuadExt) and v.b), None)
+    if ref is None:
+        return None, [(rat(v), 0) for v in values]
+    return ref.d, [ref._coerce(v) if isinstance(v, QuadExt) else (rat(v), 0)
+                   for v in values]
+
+
 def sort_key(x):
     """Sort key of an exact scalar: rationals first, then QuadExt by _value_key.
 

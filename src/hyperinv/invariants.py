@@ -338,7 +338,8 @@ def invariants_of(curve) -> Classification:
     ]
     if not usable:
         raise SearchInconclusive(
-            "involutions exist but none is usable for an even model"
+            "involutions exist but none is usable for an even model "
+            f"(genus {g}, {len(certs)} certificates)"
         )
 
     # A curve handed over as an even model is classified through that

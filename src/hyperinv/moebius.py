@@ -4,13 +4,23 @@ Maps act on the projective line over an exact scalar field: points are
 Rational or QuadExt values, with a single INFINITY sentinel.  Matrices are
 kept in a canonical projective scaling (first nonzero entry equal to 1), so
 equality and hashing are plain componentwise checks.
+
+Pullbacks run on Python ints.  The form and the map entries lie in Q or in
+one field Q(sqrt(D)); a value x + y*sqrt(D) is the pair (x, y), and a
+polynomial the pair of its x and y coefficient lists.  Each side is cleared
+to Z[sqrt(D)] over one common denominator, the expansion runs there, and
+the rational scale (content of f)/L^n is applied once at the end (see
+_integer_pullback).  is_automorphism compares the two integer models by
+cross multiplication and never builds the pullback's field coefficients.
 """
 
 from __future__ import annotations
 
+from math import gcd as igcd, lcm
+
 from .errors import DegreeTooSmall, IdentityMap, SingularModel, ZeroInput
-from .exact import QuadExt, collapse, sqrt_in_field
-from .poly import Poly, _coerce_coeff
+from .exact import QuadExt, Rational, _make, collapse, pairs_over_one_radicand, sqrt_in_field
+from .poly import Poly, _coerce_coeff, _zz_add, _zz_mul, _zz_strip
 
 
 class _Infinity:
@@ -42,7 +52,7 @@ class MoebiusMap:
     def __init__(self, a, b, c, d):
         entries = [collapse(_coerce_coeff(v)) for v in (a, b, c, d)]
         if any(isinstance(v, Poly) for v in entries):
-            raise TypeError("map entries must be scalars; see pullback_coeffs")
+            raise TypeError("map entries must be exact scalars, not polynomials")
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if det == 0:
             raise SingularModel("zero determinant")
@@ -162,32 +172,82 @@ class MoebiusMap:
         return f"X -> {num}/{den}"
 
 
-def pullback_coeffs(f: Poly, a, b, c, d, n: int) -> Poly:
-    """(cX+d)^n * f((aX+b)/(cX+d)) as a polynomial of formal degree n.
+def _cleared(pairs):
+    """(ints, L): pairs[i] = ints[i] / L componentwise, L the least common denominator."""
+    # Star arguments here and below are lists: unpacking a generator into
+    # lcm or gcd raised peak RSS by about 1 MB over a few thousand calls.
+    L = lcm(*[int(q.denominator) for xy in pairs for q in xy])
+    return [[int(q.numerator) * (L // int(q.denominator)) for q in xy]
+            for xy in pairs], L
 
-    Entries may be exact scalars or Poly values (polynomials in unknown map
-    parameters).
+
+def _pair_mul(u, v, rad):
+    """Product over Z[sqrt(rad)] of polynomials given as pairs (x, y) of int lists."""
+    (ux, uy), (vx, vy) = u, v
+    x = _zz_mul(ux, vx)
+    if not (uy or vy):
+        return x, []
+    if uy and vy:
+        x = _zz_add(x, [rad * c for c in _zz_mul(uy, vy)])
+    return x, _zz_add(_zz_mul(ux, vy), _zz_mul(uy, vx))
+
+
+def _integer_pullback(f: Poly, a, b, c, d, n: int):
+    """Integer models (F, G, D, scale) of f and of its pullback.
+
+    f = content * F and (cX+d)^n f((aX+b)/(cX+d)) = scale * G, where
+    scale = content / L^n and L clears the denominators of a, b, c, d.  F
+    and G are pairs (x, y) of int lists of length n + 1, coefficient i being
+    x[i] + y[i]*sqrt(D); over Q, D is None and every y[i] is 0.  G is
+    sum_i F_i (AX + B)^i (CX + D')^(n-i) for the cleared entries, by Horner
+    in AX + B over a power table of CX + D'.
     """
     if f.is_zero():
         raise ZeroInput("cannot pull back the zero form")
-    if n < f.degree():
-        raise DegreeTooSmall(f"form degree {n} below polynomial degree {f.degree()}")
-    num = Poly([b, a])
-    den = Poly([d, c])
     deg = f.degree()
-    num_pows = [Poly([1])]
-    for _ in range(deg):
-        num_pows.append(num_pows[-1] * num)
-    den_pows = [Poly([1])]
+    if n < deg:
+        raise DegreeTooSmall(f"form degree {n} below polynomial degree {deg}")
+    D, pairs = pairs_over_one_radicand(f.coeffs + (a, b, c, d))
+    rad = 0 if D is None else int(D)
+    ints, den_f = _cleared(pairs[:-4])
+    (A, B, C, Dm), L = _cleared(pairs[-4:])
+    content = igcd(*[v for xy in ints for v in xy])
+    F = [[v // content for v in xy] for xy in ints]
+    num = (_zz_strip([B[0], A[0]]), _zz_strip([B[1], A[1]]))
+    den = (_zz_strip([Dm[0], C[0]]), _zz_strip([Dm[1], C[1]]))
+    den_pows = [([1], [])]
     for _ in range(n):
-        den_pows.append(den_pows[-1] * den)
-    out = Poly()
-    for i in range(deg + 1):
-        fi = f.coeffs[i]
-        if not fi:
-            continue
-        out = out + (num_pows[i] * den_pows[n - i]).scale(fi)
-    return out
+        den_pows.append(_pair_mul(den_pows[-1], den, rad))
+    acc = ([], [])
+    for i in range(deg, -1, -1):
+        ax, ay = _pair_mul(acc, num, rad)
+        tx, ty = _pair_mul((_zz_strip([F[i][0]]), _zz_strip([F[i][1]])),
+                           den_pows[deg - i], rad)
+        acc = (_zz_add(ax, tx), _zz_add(ay, ty))
+    G = _pair_mul(acc, den_pows[n - deg], rad)
+    pad = [0] * (n + 1)
+    F = ([x for x, _ in F] + pad)[:n + 1], ([y for _, y in F] + pad)[:n + 1]
+    G = (G[0] + pad)[:n + 1], (G[1] + pad)[:n + 1]
+    return F, G, D, Rational(content, den_f * L ** n)
+
+
+def _field_values(x, y, D, scale):
+    """The field elements scale * (x[i] + y[i]*sqrt(D))."""
+    p, q = int(scale.numerator), int(scale.denominator)
+    if D is None:
+        return [Rational(u * p, q) for u in x]
+    return [_make(Rational(u * p, q), Rational(v * p, q), D) for u, v in zip(x, y)]
+
+
+def pullback_coeffs(f: Poly, a, b, c, d, n: int) -> Poly:
+    """(cX+d)^n * f((aX+b)/(cX+d)) as a polynomial of formal degree n.
+
+    f and the entries lie in Q or in one quadratic field Q(sqrt(D)).  The
+    expansion runs on the integer models of _integer_pullback and is scaled
+    back once at the end.
+    """
+    _, (gx, gy), D, scale = _integer_pullback(f, a, b, c, d, n)
+    return Poly(_field_values(gx, gy, D, scale))
 
 
 def pullback_form(f: Poly, m: MoebiusMap, n: int) -> Poly:
@@ -195,15 +255,23 @@ def pullback_form(f: Poly, m: MoebiusMap, n: int) -> Poly:
 
 
 def is_automorphism(f: Poly, m: MoebiusMap, n: int):
-    """The scalar lam with pullback_form(f, m, n) == lam * f, or None."""
-    g = pullback_form(f, m, n)
-    if g.degree() != f.degree():
-        return None
+    """The scalar lam with pullback_form(f, m, n) == lam * f, or None.
+
+    Decided on the integer models f = content * F and g = scale * G of f
+    and its pullback: with k the lowest index where F_k != 0, g is a
+    nonzero multiple of f exactly when G_k != 0 and G_i F_k = F_i G_k for
+    every i.  Over Q(sqrt(D)) both sides of each product are compared part
+    by part, which is exact since sqrt(D) is irrational.  lam = g_k / f_k
+    is formed only once that check has passed.
+    """
+    (fx, fy), (gx, gy), D, scale = _integer_pullback(f, m.a, m.b, m.c, m.d, n)
+    rad = 0 if D is None else int(D)
     k = next(i for i, c in enumerate(f.coeffs) if c)
-    gk = g.coeff(k)
-    if not gk:
+    p, q, r, s = fx[k], fy[k], gx[k], gy[k]  # F_k = p + q*sqrt(D), G_k = r + s*sqrt(D)
+    if not (r or s):
         return None
-    lam = collapse(gk / f.coeffs[k])
-    if g == Poly([c * lam for c in f.coeffs]):
-        return lam
-    return None
+    for x, y, u, v in zip(gx, gy, fx, fy):
+        if x * p + rad * y * q != u * r + rad * v * s or x * q + y * p != u * s + v * r:
+            return None
+    gk = _field_values([r], [s], D, scale)[0]
+    return collapse(gk / f.coeffs[k])

@@ -227,7 +227,7 @@ class Poly:
             return [], Rational(0)
         from math import gcd, lcm
         cs = [rat(c) for c in self.coeffs]
-        den = lcm(*(int(c.denominator) for c in cs))
+        den = lcm(*[int(c.denominator) for c in cs])  # a list: see moebius._cleared
         nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
         g = gcd(*nums)
         nums = [v // g for v in nums]
@@ -603,7 +603,8 @@ def _certified_roots(ints, extra_digits=0):
     coeffs_desc = [int(c) for c in reversed(ints)]
     last_exc = None
     for attempt in range(4):
-        with mpmath.workdps(digits * (attempt + 1) + 20):
+        dps = digits * (attempt + 1) + 20
+        with mpmath.workdps(dps):
             try:
                 # The iteration stalls once update noise (working eps times
                 # the evaluation condition number) exceeds the target eps, so
@@ -617,8 +618,10 @@ def _certified_roots(ints, extra_digits=0):
                 continue
             if err <= target:
                 return [mpmath.mpc(r) for r in roots], err
+    bits = max(abs(c).bit_length() for c in ints)
     raise ReconstructionInconclusive(
-        f"high-precision root refinement failed: {last_exc}")
+        f"high-precision root refinement failed on degree {len(ints) - 1} with "
+        f"{bits}-bit coefficients, last at {dps} digits: {last_exc}")
 
 
 def _reconstructed_candidates(ints):

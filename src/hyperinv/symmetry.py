@@ -29,7 +29,7 @@ from .errors import (
     ReconstructionInconclusive,
     SearchInconclusive,
 )
-from .exact import Rational, collapse, sort_key
+from .exact import QuadExt, Rational, collapse, rat, sort_key
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
 from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs  # noqa: F401
 from .poly import Poly, _zz_strip, gcd, quad_irrational_roots, resultant
@@ -82,20 +82,23 @@ def candidate_orders(g: int) -> CandidateOrders:
     return CandidateOrders(g, tuple(sorted(out)))
 
 
-def _fix_poly(m: MoebiusMap) -> Poly:
-    # fixed points of (aX+b)/(cX+d) solve cX^2 + (d-a)X - b = 0
-    a, b, c, d = m.entries()
-    return Poly([-b, d - a, c])
+def _fixes_branch(F: Poly, n: int, m: MoebiusMap, fixed) -> bool:
+    """Whether m fixes a branch point of Y^2 = F, F rational of form degree n.
 
-
-def _fixes_branch(F: Poly, n: int, m: MoebiusMap) -> bool:
+    With the fixed points known (Q or a quadratic field), F is evaluated at
+    each finite one, and infinity is a branch point when deg F < n.  When
+    they generate a quartic field (fixed is None), they are the roots of
+    fix = cX^2 + (d - a)X - b over Q(sqrt(D)); N = fix * conj(fix) is
+    rational, and F shares a root with N exactly when it shares one with
+    fix: a root r of conj(fix) with F(r) = 0 gives the root sigma(r) of fix
+    with F(sigma(r)) = sigma(F(r)) = 0, sigma extending the conjugation.
+    """
+    if fixed is not None:
+        return any(F.degree() < n if p is INFINITY else F.eval(p) == 0 for p in fixed)
     a, b, c, d = m.entries()
-    if c == 0 and F.degree() < n:
-        return True
-    fp = _fix_poly(m)
-    if fp.is_zero():
-        return True
-    return gcd(F, fp).degree() >= 1
+    fix = [-b, d - a, c]
+    N = Poly(fix) * Poly([v.conj() if isinstance(v, QuadExt) else v for v in fix])
+    return gcd(F, Poly([rat(v) for v in N.coeffs])).degree() >= 1
 
 
 def _certificate(F: Poly, n: int, m: MoebiusMap, lam) -> InvolutionCertificate:
@@ -103,7 +106,7 @@ def _certificate(F: Poly, n: int, m: MoebiusMap, lam) -> InvolutionCertificate:
         fixed = m.fixed_points()
     except ValueError:
         fixed = None
-    return InvolutionCertificate(m, lam, fixed, _fixes_branch(F, n, m))
+    return InvolutionCertificate(m, lam, fixed, _fixes_branch(F, n, m, fixed))
 
 
 def _involution_equations(f, n: int):
@@ -229,7 +232,10 @@ def detect_involutions(curve) -> list:
         try:
             a_candidates = quad_irrational_roots(D)
         except ReconstructionInconclusive as exc:
-            raise SearchInconclusive(f"parameter certification failed: {exc}")
+            bits = max(abs(v).bit_length() for v in D.integer_model()[0])
+            raise SearchInconclusive(
+                f"parameter certification failed on the resolvent of degree "
+                f"{D.degree()} with {bits}-bit coefficients: {exc}")
         for a0 in dict.fromkeys(a_candidates):
             for b0 in _b_values(eqs, a0):
                 if a0 * a0 + b0 == 0:

@@ -1,13 +1,17 @@
 """Hyperelliptic curve container and degree-change transforms."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from hyperinv.curve import HyperellipticCurve, new_curve, to_even_degree, transform
-from hyperinv.errors import DegreeTooSmall, SingularModel
+from hyperinv.errors import DegreeTooSmall, IllegalCollapse, SingularModel
+from hyperinv.exact import QuadExt
 from hyperinv.moebius import MoebiusMap
 from hyperinv.poly import Poly
 
-from conftest import QUINTIC, SEXTIC_PLUS_ONE, curve
+from conftest import CUBIC_MIDDLE, QUINTIC, SEXTIC_PLUS_ONE, curve
 
 
 class TestConstruction:
@@ -52,6 +56,34 @@ class TestTransform:
         flipped, lam = transform(c, MoebiusMap(0, 1, 1, 0))
         assert flipped.F == Poly([3, 0, 0, 0, 0, 1, 2])
         assert lam == Poly([3, 0, 0, 0, 0, 1, 2]).lead() / c.F.lead()
+
+
+    def test_output_passes_full_validation(self):
+        # transform builds its result without the square-free re-check;
+        # validating it from outside must accept it and give the same curve
+        rng = random.Random(67)
+        done = 0
+        while done < 24:
+            root = QuadExt(0, 1, rng.choice([2, -3, 5]))
+            entries = [rng.randint(-40, 40) for _ in range(4)]
+            if done % 2:
+                entries[rng.randrange(4)] += rng.randint(1, 9) * root
+            try:
+                m = MoebiusMap(*entries)
+            except SingularModel:
+                continue
+            for base in (QUINTIC, CUBIC_MIDDLE):
+                out, _ = transform(curve(base), m)
+                assert HyperellipticCurve(out.F) == out
+                assert HyperellipticCurve(out.F).genus == out.genus
+            done += 1
+
+    def test_collapse_below_n_minus_one_raises(self):
+        # only a model of degree below 2g+1 can collapse, and no valid
+        # curve has one: build the input by hand
+        fake = SimpleNamespace(F=Poly([1, 0, 0, 0, 1]), genus=2)
+        with pytest.raises(IllegalCollapse):
+            transform(fake, MoebiusMap(1, 1, 0, 1))
 
 
 class TestToEvenDegree:

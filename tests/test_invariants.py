@@ -7,7 +7,12 @@ from contextlib import contextmanager
 import pytest
 
 from hyperinv.curve import transform
-from hyperinv.errors import ExcludedLocusPoint, HyperinvError, ZeroEndCoefficient
+from hyperinv.errors import (
+    ExcludedLocusPoint,
+    HyperinvError,
+    SearchInconclusive,
+    ZeroEndCoefficient,
+)
 from hyperinv.exact import QuadExt
 from hyperinv.invariants import (
     DihedralInvariants,
@@ -289,6 +294,18 @@ class TestClassifyIntegration:
         assert r.label.name == "V4"
         assert r.label.lift_flag is None
         assert r.locus[0] != 0 and r.locus[1] != 0
+
+    def test_no_usable_involution_names_genus_and_count(self, monkeypatch):
+        import dataclasses
+
+        import hyperinv.symmetry as symmetry
+
+        search = symmetry.detect_involutions
+        monkeypatch.setattr(symmetry, "detect_involutions", lambda c: [
+            dataclasses.replace(t, fixes_branch_points=True) for t in search(c)])
+        with pytest.raises(SearchInconclusive,
+                           match=r"none is usable for an even model \(genus 2, 7 certificates\)"):
+            classify(curve(SEXTIC_PLUS_ONE))
 
     def test_z10_fallback(self):
         r = classify(curve(SEXTIC_MINUS_X))

@@ -4,19 +4,22 @@ import random
 
 import pytest
 
-from hyperinv.errors import IdentityMap, SingularModel
-from hyperinv.exact import QuadExt
+from hyperinv.curve import transform
+from hyperinv.errors import IdentityMap, RadicandMismatch, SingularModel
+from hyperinv.exact import QuadExt, collapse
 from hyperinv.moebius import (
     INFINITY,
     MoebiusMap,
     is_automorphism,
     proj_equal,
+    pullback_coeffs,
     pullback_form,
 )
 from hyperinv.poly import Poly, variable
 from hyperinv.exact import Rational
 
-from conftest import random_moebius
+from conftest import curve, random_moebius
+from test_symmetry import generic_pullback
 
 
 class TestConstruction:
@@ -175,3 +178,77 @@ class TestIsAutomorphism:
     def test_non_automorphism(self):
         f = Poly([1, 1, 0, 0, 0, 0, 1])
         assert is_automorphism(f, MoebiusMap(-1, 0, 0, 1), 6) is None
+
+
+def _reference_lam(f, m, n):
+    """is_automorphism by the generic pullback and field arithmetic."""
+    g = generic_pullback(f, m.a, m.b, m.c, m.d, n)
+    if g.degree() != f.degree():
+        return None
+    k = next(i for i, c in enumerate(f.coeffs) if c)
+    if not g.coeff(k):
+        return None
+    lam = collapse(g.coeff(k) / f.coeffs[k])
+    return lam if g == f.scale(lam) else None
+
+
+class TestIntegerPullback:
+    # 2 * 1009^2 keeps its square factor (1009 is past the radicand trial
+    # bound), so values over it and over 2 are one field in two spellings
+    RADICANDS = (2, -3, 5, 2 * 1009**2)
+
+    @staticmethod
+    def _scalar(rng, radicand):
+        x = Rational(rng.randint(-60, 60), rng.randint(1, 12))
+        if radicand is None or rng.random() < 0.3:
+            return x
+        return QuadExt(x, Rational(rng.randint(-9, 9), rng.randint(1, 7)), radicand)
+
+    def test_matches_generic_reference(self):
+        rng = random.Random(71)
+        done = 0
+        while done < 150:
+            field = rng.choice((None,) + self.RADICANDS)
+            f_field = field if rng.random() < 0.5 else None
+            if field == 2 * 1009**2 and rng.random() < 0.5:
+                f_field = 2
+            n = rng.randint(5, 9)
+            f = Poly([self._scalar(rng, f_field) for _ in range(rng.randint(1, n + 1))])
+            try:
+                m = MoebiusMap(*(self._scalar(rng, field) for _ in range(4)))
+            except SingularModel:
+                continue
+            if f.is_zero():
+                continue
+            want = generic_pullback(f, m.a, m.b, m.c, m.d, n)
+            assert pullback_form(f, m, n) == want
+            assert pullback_coeffs(f, m.a, m.b, m.c, m.d, n) == want
+            assert is_automorphism(f, m, n) == _reference_lam(f, m, n)
+            done += 1
+
+    def test_automorphisms_over_a_quadratic_field(self):
+        # X^6 - 1 moved by a map over Q(sqrt 2): its rational involutions,
+        # conjugated by that map, are automorphisms with entries in Q(sqrt 2)
+        moved_by = MoebiusMap(QuadExt(0, 1, 2), 1, 1, 3)
+        f = transform(curve([-1, 0, 0, 0, 0, 0, 1]), moved_by)[0].F
+        assert any(isinstance(c, QuadExt) for c in f.coeffs)
+        back = moved_by.inverse()
+        # scaled by 1 + sqrt 2 the lowest coefficient is irrational too, so
+        # the cross products meet sqrt(2)*sqrt(2) terms
+        for form in (f, f.scale(QuadExt(1, 1, 2))):
+            assert isinstance(form.coeffs[0], QuadExt) == (form is not f)
+            for gamma in (MoebiusMap(-1, 0, 0, 1), MoebiusMap(0, 1, 1, 0),
+                          MoebiusMap(0, -1, 1, 0)):
+                m = back.compose(gamma.compose(moved_by))
+                lam = is_automorphism(form, m, 6)
+                assert lam is not None
+                assert lam == _reference_lam(form, m, 6)
+                assert pullback_form(form, m, 6) == form.scale(lam)
+            assert is_automorphism(form, MoebiusMap(1, 1, 0, 1), 6) is None
+
+    def test_mixed_radicands_raise(self):
+        f = Poly([QuadExt(1, 3, 2), 1, 0, 0, 0, 0, 2])
+        with pytest.raises(RadicandMismatch):
+            pullback_form(f, MoebiusMap(QuadExt(0, 1, 3), 1, 1, 2), 6)
+        with pytest.raises(RadicandMismatch):
+            is_automorphism(f, MoebiusMap(QuadExt(0, 1, 3), 1, 1, 2), 6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperinv.poly as poly_module
-from hyperinv.errors import ZeroInput
+from hyperinv.errors import ReconstructionInconclusive, ZeroInput
 from hyperinv.exact import QuadExt
 from hyperinv.poly import (
     Poly,
@@ -389,6 +389,20 @@ class TestQuadIrrationalRoots:
         assert all(isinstance(r, QuadExt) for r in roots)
         for r in roots:
             assert q1(r) == 0 or q2(r) == 0
+
+    def test_refinement_failure_names_sizes_and_precision(self, monkeypatch):
+        import mpmath
+
+        def no_convergence(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("forced")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        x = variable()
+        # digits = 2*1 + 1 + 30 = 33 for lead 1 and Cauchy bound 3; the
+        # fourth attempt works at 4*33 + 20 digits
+        with pytest.raises(ReconstructionInconclusive,
+                           match="degree 2 with 2-bit coefficients, last at 152 digits: forced"):
+            quad_irrational_roots(x**2 - 2)
 
     def test_cubic_irrational_factor_ignored(self):
         x = variable()

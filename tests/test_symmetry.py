@@ -5,12 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperinv.poly as poly_module
 import hyperinv.symmetry as symmetry
 from hyperinv.curve import to_even_degree, transform
 from hyperinv.errors import FixedBranchPoint, SearchInconclusive
 from hyperinv.exact import QuadExt
 from hyperinv.invariants import classify, dihedral_from_even, dihedral_from_normal
-from hyperinv.moebius import MoebiusMap, pullback_coeffs, pullback_form
+from hyperinv.moebius import MoebiusMap, pullback_form
 from hyperinv.poly import Poly, variable
 from hyperinv.symmetry import candidate_orders, detect_involutions, even_model
 
@@ -129,6 +130,51 @@ class TestPivotRead:
         assert len(detect_involutions(curve(f))) == 7
 
 
+def _refuse_field_gcd(p, q):
+    raise AssertionError("Euclid over Q(sqrt d) was called")
+
+
+class TestFixesBranch:
+    # Whether a certificate fixes a branch point is read off its fixed
+    # points, or decided over Q when they generate a quartic field; no gcd
+    # over a quadratic field is taken.
+
+    def test_moved_curves_classify_without_field_gcd(self, monkeypatch):
+        monkeypatch.setattr(poly_module, "_field_gcd", _refuse_field_gcd)
+        # base, map, then certificates over Q(sqrt d) and those fixing a
+        # branch point: X^6 - 1 by (2X + 1)/(X + 3) turns X -> w/X and
+        # X -> w^2/X (w a cube root of unity, fixing the branch points
+        # +-w^2) into maps over Q(sqrt -3)
+        moves = [([-1, 0, 0, 0, 0, 0, 1], MoebiusMap(2, 1, 1, 3), 4, 2),
+                 (CUBIC_MIDDLE, MoebiusMap(3, -2, 5, 7), 2, 0)]
+        for base, m, irrational, fixing in moves:
+            moved, _ = transform(curve(base), m)
+            over_q_sqrt = [t for t in detect_involutions(moved)
+                           if any(isinstance(e, QuadExt) for e in t.map.entries())]
+            assert len(over_q_sqrt) == irrational
+            assert len([t for t in over_q_sqrt if t.fixes_branch_points]) == fixing
+            assert classify(moved).invariants == classify(curve(base)).invariants
+
+    def test_either_fixed_point_counts(self):
+        # X -> 4/X fixes 2 (listed first) and -2; only -2 is a root here
+        x = variable()
+        m = MoebiusMap(0, 4, 1, 0)
+        assert m.fixed_points() == (2, -2)
+        assert symmetry._certificate((x + 2) * (x**5 + 7), 6, m, 1).fixes_branch_points
+        assert not symmetry._certificate((x + 3) * (x**5 + 7), 6, m, 1).fixes_branch_points
+
+    def test_quartic_fixed_points_decided_over_q(self, monkeypatch):
+        monkeypatch.setattr(poly_module, "_field_gcd", _refuse_field_gcd)
+        # X -> sqrt(2)/X fixes the roots of X^2 - sqrt(2), which are +-2^(1/4)
+        m = MoebiusMap(0, QuadExt(0, 1, 2), 1, 0)
+        x = variable()
+        on = (x**4 - 2) * (x**2 + 5)
+        off = (x**4 - 3) * (x**2 + 5)
+        assert symmetry._certificate(on, 6, m, 1).fixes_branch_points
+        assert symmetry._certificate(on, 6, m, 1).fixed_points is None
+        assert not symmetry._certificate(off, 6, m, 1).fixes_branch_points
+
+
 _BASES = {
     "X^6 - 1": [-1, 0, 0, 0, 0, 0, 1],
     "X^6 + 4X^3 + 1": CUBIC_MIDDLE,
@@ -141,7 +187,7 @@ def _search_and_invariants(c):
     return len(detect_involutions(ec)), classify(c).invariants
 
 
-_ENTRY = st.integers(-30, 30)
+_ENTRY = st.integers(-3000, 3000)
 _MAPS = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY).filter(
     lambda e: e[0] * e[3] != e[1] * e[2])
 
@@ -160,13 +206,33 @@ def _random_even_model(rng, g):
     return f + [rng.choice([-3, -2, -1, 1, 2, 3])]
 
 
+def generic_pullback(f, a, b, c, d, n):
+    """(cX+d)^n * f((aX+b)/(cX+d)) by Poly products over any coefficient ring.
+
+    The reference for the integer pullback in hyperinv.moebius, and for the
+    c = 1 equations, whose entries are polynomials in the map parameters.
+    """
+    num, den, deg = Poly([b, a]), Poly([d, c]), f.degree()
+    num_pows = [Poly([1])]
+    for _ in range(deg):
+        num_pows.append(num_pows[-1] * num)
+    den_pows = [Poly([1])]
+    for _ in range(n):
+        den_pows.append(den_pows[-1] * den)
+    out = Poly()
+    for i, fi in enumerate(f.coeffs):
+        if fi:
+            out = out + (num_pows[i] * den_pows[n - i]).scale(fi)
+    return out
+
+
 def _nested_equations(f, n):
     """The c = 1 equations by nested-Poly pullback, as int lists."""
     A = Poly([Poly([0, 1])])
     B = Poly([Poly([0]), Poly([1])])
     ONE = Poly([Poly([1])])
     F = Poly(f)
-    G = pullback_coeffs(F, A, B, ONE, -A, n)
+    G = generic_pullback(F, A, B, ONE, -A, n)
     Fa = F.eval(Poly([0, 1]))
     out = []
     for k in range(n - 1, -1, -1):
@@ -206,6 +272,21 @@ class TestInvolutionEquations:
         x = variable()
         D = (x - 1) ** 2 * (x + 1) * (2 * x - 5)
         assert symmetry._off_branch(D, x**6 - 1) == 2 * x - 5
+
+    def test_certification_failure_names_the_resolvent(self, monkeypatch):
+        import mpmath
+
+        def no_convergence(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("forced")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        # X^6 - 1 pulled back by (2X + 1)/(X + 3): quadratic resolvent factors
+        f = [-728, -1446, -1155, -380, 105, 174, 63]
+        with pytest.raises(SearchInconclusive,
+                           match=r"parameter certification failed on the resolvent "
+                                 r"of degree \d+ with \d+-bit coefficients: "
+                                 r"high-precision root refinement failed on degree \d+"):
+            detect_involutions(curve(f))
 
     def test_vanishing_elimination_is_inconclusive(self, monkeypatch):
         full = symmetry._involution_equations
