@@ -1,16 +1,17 @@
-"""Pure-Python kernel: exact rationals and the simultaneous root iteration.
+"""The numeric oracle's simultaneous root iteration.
 
-The exact scalar of this backend is fractions.Fraction, re-exported under
-the backend-neutral name Rational.  durand_kerner mirrors the compiled
-version bit for bit: same initial points, same update order, same stop
-rule, so both backends return the same roots on the same input.
+BACKEND and available_backends() name the one pure-Python kernel; the
+benchmark harness reads both into its run metadata.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+BACKEND = "python"
 
-Rational = Fraction
+
+def available_backends():
+    """Names of the importable kernels: only the pure-Python one."""
+    return ["python"]
 
 
 def durand_kerner(coeffs, tol=1e-9, max_iter=200):

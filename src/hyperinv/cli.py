@@ -2,11 +2,13 @@
 
 Every invocation prints a single JSON object::
 
-    {"command": ..., "input_digest": ..., "result": ..., "flags": [...]}
+    {"command": ..., "version": ..., "input_digest": ..., "result": ...,
+     "flags": [...]}
 
-and exits 0 on success, 1 on invalid input, 2 when a search or numeric
-procedure was inconclusive, and 3 when the invariants land on a locus
-point whose group is deliberately left unclassified.  Scalars are
+where version is hyperinv.__version__, and exits 0 on success, 1 on
+invalid input, 2 when a search or numeric procedure was inconclusive, and
+3 when the invariants land on a locus point whose group is deliberately
+left unclassified.  Scalars are
 serialized as strings (rationals) or {"a","b","d"} objects (quadratic
 extension elements), never as floats, so output can be piped back in
 without losing exactness.
@@ -18,6 +20,7 @@ import json
 import re
 import sys
 
+from . import __version__
 from .curve import new_curve, to_even_degree
 from .errors import (
     DegreeTooSmall,
@@ -192,7 +195,9 @@ def cmd_normal_form(args, ctx):
     _, degree_map = to_even_degree(curve)
     res = invariants_of(curve)
     if res.model_coeffs is None:
-        raise SearchInconclusive("curve has no usable reduced involution")
+        raise SearchInconclusive(
+            "normal form: curve has no usable reduced involution "
+            f"(genus {curve.genus}, {len(res.certificates)} certificates)")
     total_map = res.model_map.compose(degree_map.inverse())
     radicands = sorted(
         {str(x.d) for x in (*res.model_coeffs, *total_map.entries())
@@ -315,6 +320,7 @@ def _build_parser():
 def _emit(command, digest, result, flags, code):
     report = {
         "command": command,
+        "version": __version__,
         "input_digest": digest,
         "result": result,
         "flags": sorted(set(flags)),

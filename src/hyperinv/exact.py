@@ -1,18 +1,17 @@
 """Exact scalars: arbitrary-precision rationals and one quadratic extension.
 
-Rational is whichever kernel backend is active (fractions.Fraction or the
-compiled equivalent); both expose numerator/denominator and the full dunder
-set.  This module is the one place the rest of the package takes it from.
+Rational is fractions.Fraction under the package's name for it; this
+module is the one place the rest of the package takes it from.
 QuadExt adds values a + b*sqrt(d) over a fixed non-square radicand d.
 Everything here is exact; nothing rounds.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rational
 from functools import lru_cache
 from math import isqrt
 
-from ._kernel import Rational
 from .errors import RadicandMismatch
 
 Scalar = "Rational | QuadExt"  # informal union used in signatures

@@ -18,7 +18,6 @@ derived from invariants without sharing any code path.
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import Tuple
 
@@ -142,10 +141,10 @@ def _perm_order(perm) -> int:
 
 def _exact_eval(coeffs, zr, zi):
     """Horner evaluation over exact complex rationals; returns (re, im)."""
-    re = im = Fraction(0)
+    re = im = Rational(0)
     for c in reversed(coeffs):
         re, im = re * zr - im * zi, re * zi + im * zr
-        re += Fraction(int(c.numerator), int(c.denominator))
+        re += c
     return re, im
 
 
@@ -160,7 +159,7 @@ def _check_root_accuracy(F, roots, tol):
         return  # exact re-evaluation is only defined for rational models
     dcoeffs = F.derivative().coeffs
     for z in roots:
-        zr, zi = Fraction(z.real), Fraction(z.imag)
+        zr, zi = Rational(z.real), Rational(z.imag)
         fr, fi = _exact_eval(F.coeffs, zr, zi)
         gr, gi = _exact_eval(dcoeffs, zr, zi)
         fmag = math.hypot(float(fr), float(fi))

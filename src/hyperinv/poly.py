@@ -580,12 +580,6 @@ def _mpf_to_rational(x):
     return -v if sign else v
 
 
-def _limit_denominator(x, bound: int):
-    from fractions import Fraction
-    f = Fraction(x.numerator, x.denominator).limit_denominator(bound)
-    return Rational(f.numerator, f.denominator)
-
-
 def _certified_roots(ints, extra_digits=0):
     """High-precision complex roots of an integer square-free polynomial.
 
@@ -637,7 +631,7 @@ def _reconstructed_candidates(ints):
         if abs(r.imag) > 10 * err + 1e-30:
             continue
         approx = _mpf_to_rational(r.real)
-        out.add(_limit_denominator(approx, bound))
+        out.add(approx.limit_denominator(bound))
     return out
 
 
@@ -674,8 +668,8 @@ def quad_irrational_roots(p: Poly):
         for xj, yj in parts[i + 1:]:
             if abs(yi + yj) > tol or abs(xi * yj + yi * xj) > tol:
                 continue
-            t = _limit_denominator(xi + xj, bound)
-            n = _limit_denominator(xi * xj - yi * yj, bound)
+            t = (xi + xj).limit_denominator(bound)
+            n = (xi * xj - yi * yj).limit_denominator(bound)
             if (t, n) in seen:
                 continue
             seen.add((t, n))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
+from math import comb, isqrt
 from typing import Optional, Tuple
 
 from .errors import (
@@ -59,26 +59,28 @@ class CandidateOrders:
     orders: Tuple[int, ...]
 
 
+def _divisors(n: int) -> set:
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return set(small) | {n // k for k in small}
+
+
 def candidate_orders(g: int) -> CandidateOrders:
     """Enumerate candidate reduced-automorphism orders N > 2.
 
     Cases: divisors of 2g+1; divisors of 2g below g; even divisors of 2g in
     [6, 2g-2]; multiples 4N' for proper divisors N' of g; plus the always
-    possible {3, 4}.  Everything stays at or below the bound 2(2g+1).
+    possible {3, 4}.  Everything stays at or below the bound 2(2g+1).  The
+    divisors come from trial division up to sqrt(2g+1), so large g is cheap.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
     out = {3, 4}
-    for N in range(3, 2 * (2 * g + 1) + 1):
-        if (2 * g + 1) % N == 0:
+    out.update(N for N in _divisors(2 * g + 1) if N >= 3)
+    for N in _divisors(2 * g):
+        if 3 <= N < g or (N % 2 == 0 and 6 <= N <= 2 * g - 2):
             out.add(N)
-        if (2 * g) % N == 0 and N < g:
-            out.add(N)
-        if N % 2 == 0 and (2 * g) % N == 0 and 6 <= N <= 2 * g - 2:
-            out.add(N)
-    for k in range(1, g):
-        if g % k == 0:
-            out.add(4 * k)
+        if N < g and g % N == 0:
+            out.add(4 * N)
     return CandidateOrders(g, tuple(sorted(out)))
 
 

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import hyperinv
+
 CLI = [sys.executable, "-m", "hyperinv.cli"]
 
 
@@ -30,7 +32,7 @@ def write_curve(tmp_path, coeffs, name="curve.json"):
 
 def report_of(proc):
     rep = json.loads(proc.stdout)
-    assert set(rep) == {"command", "input_digest", "result", "flags"}
+    assert set(rep) == {"command", "version", "input_digest", "result", "flags"}
     return rep
 
 
@@ -120,6 +122,9 @@ class TestNormalForm:
         assert proc.returncode == 2
         rep = report_of(proc)
         assert "search-inconclusive" in rep["flags"]
+        assert rep["result"]["detail"] == (
+            "normal form: curve has no usable reduced involution "
+            "(genus 2, 0 certificates)")
 
 
 class TestRationalModel:
@@ -254,6 +259,13 @@ class TestErrorHandling:
     def test_unknown_subcommand(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    def test_reports_name_the_package_version(self, tmp_path):
+        ok = run_cli("candidates", "--genus", "5")
+        invalid = run_cli("classify", str(write_curve(tmp_path, [1, 1])))
+        assert (ok.returncode, invalid.returncode) == (0, 1)
+        for proc in (ok, invalid):
+            assert report_of(proc)["version"] == hyperinv.__version__
 
     def test_reports_are_single_line(self, tmp_path):
         path = write_curve(tmp_path, [1, 0, 0, 0, 0, 0, 1])

@@ -50,6 +50,32 @@ class TestCandidateOrders:
         with pytest.raises(ValueError):
             candidate_orders(1)
 
+    @staticmethod
+    def scan_orders(g):
+        # reference: the direct scan of every N up to 2(2g+1) and every k < g
+        out = {3, 4}
+        for N in range(3, 2 * (2 * g + 1) + 1):
+            if (2 * g + 1) % N == 0:
+                out.add(N)
+            if (2 * g) % N == 0 and N < g:
+                out.add(N)
+            if N % 2 == 0 and (2 * g) % N == 0 and 6 <= N <= 2 * g - 2:
+                out.add(N)
+        for k in range(1, g):
+            if g % k == 0:
+                out.add(4 * k)
+        return tuple(sorted(out))
+
+    def test_divisor_build_matches_scan(self):
+        for g in range(2, 301):
+            assert candidate_orders(g).orders == self.scan_orders(g), g
+
+    def test_large_genus_is_cheap(self):
+        g = 10**10  # 2g + 1 = 3 * 6666666667
+        orders = candidate_orders(g).orders
+        assert {3, 4, 6666666667, 2 * g + 1, 4 * 10**9} <= set(orders)
+        assert max(orders) == 2 * g + 1
+
 
 class TestDetectInvolutions:
     def test_counts(self):
