@@ -6,8 +6,9 @@ are allowed for ring arithmetic and Bareiss determinants, as used by the
 symbolic invariants Jacobian.  All arithmetic is exact.  Root finding is
 split three ways:
 
-  rational_roots        exact rational roots, complete at any height
-  quad_irrational_roots roots in degree <= 2 extensions, numerically
+  rational_roots        exact rational roots by p-adic lifting, complete
+                        at any height, no floating point
+  quad_irrational_roots those plus roots of quadratic factors, numerically
                         discovered and exactly certified
   numeric_roots         double-precision roots for the numeric oracle
 
@@ -514,29 +515,51 @@ def det_bareiss(rows):
 
 # --- root finding ---
 
-_DIVISOR_LIMIT = 10 ** 6
+def _square_free_model(p: Poly):
+    """Integer model of the square-free part of the Rational p, degree >= 1."""
+    g = gcd(p, p.derivative())
+    return (p if g.degree() == 0 else p / g).integer_model()[0]
 
 
-def _small_divisors(n: int):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _padic_roots(f):
+    """The rational roots of the square-free integer model f, by p-adic lifting.
+
+    Loos (1983): take the first prime p not dividing lc = f[-1] at which
+    every root of f mod p is simple; Newton's iteration lifts each to a
+    unique root mod p^k.  A rational root r = N/D has D | lc and reduces to
+    one of them, and lc*r is an integer of modulus at most
+    B = lc + max|f_i| (Cauchy), so it is the symmetric residue of lc times
+    the lift once p^k > 2B.  A candidate is kept when X - r divides f.
+    """
+    lc, df = f[-1], [i * c for i, c in enumerate(f)][1:]
+    p = 1
+    while True:
+        p += 1
+        if lc % p == 0 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        fp = [c % p for c in f]
+        start = [x for x in range(p) if _zz_eval(fp, x) % p == 0]
+        if all(_zz_eval(df, x) % p for x in start):
+            break
+    bound, out = 2 * (lc + max(map(abs, f))), []
+    for x in start:
+        m = p
+        while m <= bound:
+            m *= m
+            x = (x - _zz_eval(f, x) * pow(_zz_eval(df, x), -1, m)) % m
+        n = lc * x % m
+        r = Rational(n - m if n > m // 2 else n, lc)
+        if _zz_divides([-r.numerator, r.denominator], f):
+            out.append(r)
+    return out
 
 
 def rational_roots(p: Poly):
     """All rational roots of p with multiplicity, ascending.
 
-    Small integer models are handled by divisor candidates; models whose end
-    coefficients are too large to factor go through certified high-precision
-    approximation and rational reconstruction bounded by the leading
-    coefficient.  Every candidate is verified by exact evaluation, and
-    multiplicities come from repeated exact division.
+    The roots of the square-free integer model come from _padic_roots,
+    complete at any coefficient height with no floating point, and
+    multiplicities from repeated exact division.
     """
     if p.is_zero():
         raise ZeroInput("root finding needs a nonzero polynomial")
@@ -549,24 +572,14 @@ def rational_roots(p: Poly):
         zeros += 1
     roots = [Rational(0)] * zeros
     if len(ints) > 1:
-        if abs(ints[0]) <= _DIVISOR_LIMIT and abs(ints[-1]) <= _DIVISOR_LIMIT:
-            candidates = set()
-            for num in _small_divisors(ints[0]):
-                for den in _small_divisors(ints[-1]):
-                    candidates.add(Rational(num, den))
-                    candidates.add(Rational(-num, den))
-        else:
-            candidates = _reconstructed_candidates(ints)
         work = Poly(ints)
-        for cand in sorted(candidates):
-            if work.eval(cand) != 0:
-                continue
-            factor = Poly([-cand, 1])
+        for root in _padic_roots(_square_free_model(work)):
+            factor = Poly([-root, 1])
             while True:
                 q, r = work.divrem(factor)
                 if not r.is_zero():
                     break
-                roots.append(cand)
+                roots.append(root)
                 work = q
     roots.sort()
     return roots
@@ -580,7 +593,7 @@ def _mpf_to_rational(x):
     return -v if sign else v
 
 
-def _certified_roots(ints, extra_digits=0):
+def _certified_roots(ints):
     """High-precision complex roots of an integer square-free polynomial.
 
     Returns (roots, err_bound) as mpmath values; precision is chosen so the
@@ -591,7 +604,7 @@ def _certified_roots(ints, extra_digits=0):
 
     lead = abs(ints[-1])
     cauchy = 1 + max(abs(c) for c in ints) // lead
-    digits = 2 * len(str(lead)) + len(str(cauchy + 1)) + 30 + extra_digits
+    digits = 2 * len(str(lead)) + len(str(cauchy + 1)) + 30
     target = mpmath.mpf(10) ** (-digits + 10)
     # ints stay exact; polyroots converts them under the working precision
     coeffs_desc = [int(c) for c in reversed(ints)]
@@ -618,31 +631,14 @@ def _certified_roots(ints, extra_digits=0):
         f"{bits}-bit coefficients, last at {dps} digits: {last_exc}")
 
 
-def _reconstructed_candidates(ints):
-    """Rational root candidates from certified numeric roots."""
-    p = Poly(ints)
-    g = gcd(p, p.derivative())
-    sf = p if g.degree() == 0 else (p / g)
-    sints, _ = sf.integer_model()
-    roots, err = _certified_roots(sints)
-    bound = abs(sints[-1])
-    out = set()
-    for r in roots:
-        if abs(r.imag) > 10 * err + 1e-30:
-            continue
-        approx = _mpf_to_rational(r.real)
-        out.add(approx.limit_denominator(bound))
-    return out
-
-
 def quad_irrational_roots(p: Poly):
     """Roots of p lying in degree <= 2 extensions, with multiplicity.
 
-    Rational roots are included (a perfect-square discriminant is still a
-    quadratic root).  Irrational roots come back as QuadExt pairs.  The
-    search runs numerically at certified precision and every quadratic
-    factor is verified by exact division, so nothing unverified is ever
-    reported; a numeric failure raises ReconstructionInconclusive.
+    Rational roots are included, from rational_roots.  Irrational roots are
+    QuadExt pairs: the square-free cofactor left by the rational roots is
+    searched numerically at certified precision and every quadratic factor
+    is verified by exact division, so nothing unverified is ever reported;
+    a numeric failure raises ReconstructionInconclusive.
     """
     if p.is_zero():
         raise ZeroInput("root finding needs a nonzero polynomial")
@@ -652,9 +648,7 @@ def quad_irrational_roots(p: Poly):
         work = work / Poly([-r, 1])
     if work.degree() < 2:
         return out
-    g = gcd(work, work.derivative())
-    sf = work if g.degree() == 0 else (work / g)
-    sints, _ = sf.integer_model()
+    sints = _square_free_model(work)
     roots, err = _certified_roots(sints)
     bound = abs(sints[-1])
     # Pair sums and products are formed exactly from the roots' binary

@@ -176,7 +176,18 @@ def _b_values(eqs, a0) -> list:
     specialized = [q for q in specialized if not q.is_zero()]
     if not specialized:
         return []
-    return quad_irrational_roots(reduce(gcd, specialized))
+    return _certified(reduce(gcd, specialized), f"b certification failed at the "
+                      f"rational a0 = {a0} where the pivot vanishes, on the gcd")
+
+
+def _certified(p: Poly, stage: str) -> list:
+    """quad_irrational_roots(p); a failure is SearchInconclusive naming stage and sizes."""
+    try:
+        return quad_irrational_roots(p)
+    except ReconstructionInconclusive as exc:
+        bits = max(abs(v).bit_length() for v in p.integer_model()[0])
+        raise SearchInconclusive(f"{stage} of degree {p.degree()} with "
+                                 f"{bits}-bit coefficients: {exc}") from exc
 
 
 def detect_involutions(curve) -> list:
@@ -231,13 +242,7 @@ def detect_involutions(curve) -> list:
             f"equation degrees (in b, in a): {sizes}")
     D = _off_branch(D, F)
     if D.degree() >= 1:
-        try:
-            a_candidates = quad_irrational_roots(D)
-        except ReconstructionInconclusive as exc:
-            bits = max(abs(v).bit_length() for v in D.integer_model()[0])
-            raise SearchInconclusive(
-                f"parameter certification failed on the resolvent of degree "
-                f"{D.degree()} with {bits}-bit coefficients: {exc}")
+        a_candidates = _certified(D, "parameter certification failed on the resolvent")
         for a0 in dict.fromkeys(a_candidates):
             for b0 in _b_values(eqs, a0):
                 if a0 * a0 + b0 == 0:

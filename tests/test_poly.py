@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +319,47 @@ class TestDetBareiss:
         assert det_bareiss(rows) == 0
 
 
+def _divisor_rational_roots(p):
+    """Reference rational roots: every +-d/e, d dividing the lowest nonzero
+    coefficient of the integer model and e its lead, tried exactly.
+
+    Divisor enumeration is exponential in the bit size of the end
+    coefficients, so it serves only small inputs; it shares no code with
+    the p-adic lifting under test.
+    """
+    ints, _ = p.integer_model()
+    roots = []
+    while ints[0] == 0:
+        ints.pop(0)
+        roots.append(Rational(0))
+    if len(ints) == 1:
+        return roots
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in small]
+
+    work = Poly(ints)
+    candidates = {Rational(s * num, den) for num in divisors(ints[0])
+                  for den in divisors(ints[-1]) for s in (1, -1)}
+    for cand in sorted(candidates):
+        if work.eval(cand) != 0:
+            continue
+        factor = Poly([-cand, 1])
+        while True:
+            q, r = work.divrem(factor)
+            if not r.is_zero():
+                break
+            roots.append(cand)
+            work = q
+    return sorted(roots)
+
+
+# the product of the primes below 200
+_PRIMORIAL = prod(q for q in range(2, 200) if all(q % d for d in range(2, q)))
+
+
 class TestRationalRoots:
     def test_planted_roots_with_multiplicity(self):
         x = variable()
@@ -330,7 +372,7 @@ class TestRationalRoots:
         assert rational_roots(Poly([2, 0, 0, 1])) == []  # X^3 + 2
 
     def test_large_coefficients_certified_path(self):
-        # end coefficients past the trial-division limit
+        # end coefficients far too large to enumerate their divisors
         big_prime = 2 ** 61 - 1
         x = variable()
         p = (big_prime * x - 3) * (x - 7) * (x**2 + x + 1)
@@ -355,6 +397,46 @@ class TestRationalRoots:
         x = variable()
         p = (x - Rational(3, 7)) * (x + Rational(5, 2))
         assert rational_roots(p) == sorted([Rational(3, 7), Rational(-5, 2)])
+
+    def test_large_coefficients_without_mpmath(self, monkeypatch):
+        import mpmath
+
+        def no_floats(*args, **kwargs):
+            raise AssertionError("rational roots need no floating point")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_floats)
+        self.test_large_coefficients_certified_path()
+        self.test_extreme_magnitude_spread_recovered_exactly()
+
+    def test_matches_divisor_reference(self):
+        rng = random.Random(8)
+        x = variable()
+        checked = 0
+        while checked < 100:
+            p = Poly([rng.randint(1, 30)])
+            for _ in range(rng.randint(1, 4)):
+                root = Rational(rng.randint(-30, 30), rng.randint(1, 12))
+                p = p * (x - root) ** rng.randint(1, 3)
+            if rng.random() < 0.5:
+                p = p * Poly([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)])
+            ints, _ = p.integer_model()
+            ends = (next(c for c in ints if c), ints[-1])
+            if max(map(abs, ends)) > 10 ** 6:
+                continue
+            assert rational_roots(p) == _divisor_rational_roots(p)
+            checked += 1
+
+    def test_lead_divisible_by_every_small_prime(self):
+        # no prime below 200 may serve: each divides the leading coefficient
+        x = variable()
+        p = (_PRIMORIAL * x - 3) * (x - 5) * (x**2 + x + 1)
+        assert rational_roots(p) == sorted([Rational(3, _PRIMORIAL), Rational(5)])
+
+    def test_roots_colliding_mod_every_small_prime(self):
+        # 1 and 1 + M are one double root mod each prime below 200
+        x = variable()
+        p = (x - 1) ** 2 * (x - 1 - _PRIMORIAL) * (x**2 - 2)
+        assert rational_roots(p) == [Rational(1), Rational(1), Rational(1 + _PRIMORIAL)]
 
 
 class TestQuadIrrationalRoots:

@@ -314,6 +314,20 @@ class TestInvolutionEquations:
                                  r"high-precision root refinement failed on degree \d+"):
             detect_involutions(curve(f))
 
+    def test_certification_failure_names_the_pivot_fallback(self, monkeypatch):
+        import mpmath
+
+        def no_convergence(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("forced")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        # X^6 + X^3 + 2: the pivot vanishes at a0 = 0, where b^3 = 2
+        with pytest.raises(SearchInconclusive,
+                           match=r"b certification failed at the rational a0 = 0 "
+                                 r"where the pivot vanishes, on the gcd of degree 3 "
+                                 r"with 2-bit coefficients: high-precision root"):
+            detect_involutions(curve([2, 0, 0, 1, 0, 0, 1]))
+
     def test_vanishing_elimination_is_inconclusive(self, monkeypatch):
         full = symmetry._involution_equations
         monkeypatch.setattr(symmetry, "_involution_equations",
