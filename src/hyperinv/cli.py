@@ -280,8 +280,6 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         if needs_file:
             p.add_argument("file", help="curve JSON file, or - for stdin")
-        p.add_argument("--json", action="store_true", default=True,
-                       help="emit JSON (default; kept for compatibility)")
         p.set_defaults(handler=handler)
         return p
 

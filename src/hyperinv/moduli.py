@@ -60,12 +60,6 @@ def _model_coeffs(inv: DihedralInvariants, branch: str):
     return tuple([rat(2), b1] + body + [inv[0]])
 
 
-def _expected_round_trip(inv: DihedralInvariants, branch: str):
-    if branch == "minus":
-        return inv.u
-    return inv.u[:-1] + (-inv.u[-1],)
-
-
 def rational_model(u) -> RationalModelResult:
     """Build an even model whose invariants are the given locus point.
 
@@ -102,25 +96,18 @@ def rational_model(u) -> RationalModelResult:
             f"reconstructed model is singular (repeated factor {gcd(F, F.derivative())})"
         ) from exc
 
-    got = dihedral_from_even(b)
-    expected = _expected_round_trip(inv, branch)
-    verified = all(
-        collapse(x) == collapse(y) for x, y in zip(got.u, expected)
-    )
+    # recomputed from the curve's own even coefficients, not from b
+    got = dihedral_from_even(tuple(curve.F.coeff(2 * i) for i in range(len(b))))
+    expected = inv.u if branch == "minus" else inv.u[:-1] + (-inv.u[-1],)
+    verified = all(collapse(x) == collapse(y) for x, y in zip(got.u, expected))
     return RationalModelResult(curve=curve, branch=branch, verified=verified)
 
 
 def round_trip_check(u) -> bool:
     """Reconstruct a model from ``u`` and confirm it returns the same point.
 
-    The check re-extracts the even coefficients from the reconstructed
-    curve rather than trusting intermediate state.  On the plus branch the
+    This is rational_model(u).verified: the invariants are recomputed from
+    the reconstructed curve's even coefficients.  On the plus branch the
     recomputed last invariant comes back negated, which is accounted for.
     """
-    inv = _as_invariants(u)
-    res = rational_model(inv)
-    F = res.curve.F
-    b = tuple(F.coeff(2 * i) for i in range(F.degree() // 2 + 1))
-    got = dihedral_from_even(b)
-    expected = _expected_round_trip(inv, res.branch)
-    return all(collapse(x) == collapse(y) for x, y in zip(got.u, expected))
+    return rational_model(u).verified

@@ -12,8 +12,10 @@ split three ways:
                         discovered and exactly certified
   numeric_roots         double-precision roots for the numeric oracle
 
-gcd of rational polynomials runs the heuristic GCDHEU on their integer
-models (dense ascending int lists), with a primitive-PRS fallback; Euclid
+Rational polynomials run as integer models (primitive dense ascending int
+lists with positive leading coefficient): root finding, square-free parts
+and gcd convert at the Poly boundary and then only divide exactly in
+Z[x].  gcd runs the heuristic GCDHEU with a primitive-PRS fallback; Euclid
 over the coefficient field remains for QuadExt coefficients.  The resultant
 takes bivariate integer input in Z[a][b] (lists of int lists) with one
 argument linear in b, and a closed form gives it.
@@ -22,12 +24,12 @@ argument linear in b, and a closed form gives it.
 from __future__ import annotations
 
 import cmath
-from math import gcd as igcd, isqrt
+from math import gcd as igcd, isqrt, lcm
 
 from ._kernel import durand_kerner
 from .errors import (BothZero, NonConvergence,
                      ReconstructionInconclusive, ZeroInput)
-from .exact import QuadExt, Rational, rat, scalar_to_complex, sort_key, sqrt_exact
+from .exact import QuadExt, Rational, rat, scalar_to_complex, sort_key
 
 NEG_INF = float("-inf")
 
@@ -226,11 +228,10 @@ class Poly:
         """
         if self.is_zero():
             return [], Rational(0)
-        from math import gcd, lcm
         cs = [rat(c) for c in self.coeffs]
         den = lcm(*[int(c.denominator) for c in cs])  # a list: see moebius._cleared
         nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
-        g = gcd(*nums)
+        g = igcd(*nums)
         nums = [v // g for v in nums]
         sign = 1
         if nums[-1] < 0:
@@ -330,29 +331,42 @@ def _zz_primitive(f):
     return [c // g for c in f]
 
 
-def _zz_divides(h, f):
-    """True when the primitive h divides f in Z[x] (equivalently in Q[x])."""
-    rem = list(f)
-    dh, lc = len(h) - 1, h[-1]
+def _zz_quo(f, h):
+    """f / h for a primitive h dividing f in Z[x] (equivalently in Q[x]), else None."""
+    rem, dh, lc = list(f), len(h) - 1, h[-1]
+    q = [0] * (len(f) - dh)
     for k in range(len(rem) - 1 - dh, -1, -1):
-        c = rem[k + dh]
-        if c:
-            q, r = divmod(c, lc)
+        if rem[k + dh]:
+            q[k], r = divmod(rem[k + dh], lc)
             if r:
-                return False
+                return None
             for i in range(dh):
-                rem[k + i] -= q * h[i]
-    return not any(rem[:dh])
+                rem[k + i] -= q[k] * h[i]
+    return None if any(rem[:dh]) else q
+
+
+def _zz_peel(f, h):
+    """(k, f / h^k) for the largest k with h^k dividing f; h primitive, nonconstant."""
+    k = 0
+    while (q := _zz_quo(f, h)) is not None:
+        k, f = k + 1, q
+    return k, f
 
 
 def _zz_prs_gcd(f, g):
     """gcd of primitive f, g by the primitive remainder sequence."""
-    a, b = Poly(f), Poly(g)
-    if a.degree() < b.degree():
-        a, b = b, a
-    while b:
-        a, b = b, Poly(_prem(a, b).integer_model()[0])
-    return a.integer_model()[0]
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r, dg = list(f), len(g) - 1
+        while len(r) > dg:  # pseudo-division by g, up to a positive factor
+            c, s = r[-1], len(r) - 1 - dg
+            r = [g[-1] * v for v in r]
+            for i, gi in enumerate(g):
+                r[s + i] -= c * gi
+            _zz_strip(r)
+        f, g = g, _zz_primitive(r)
+    return f
 
 
 _HEU_TRIES = 6
@@ -383,7 +397,7 @@ def _zz_heu_gcd(f, g):
                 h.append(c)
                 v = (v - c) // xi
             h = _zz_primitive(h)
-            if _zz_divides(h, f) and _zz_divides(h, g):
+            if _zz_quo(f, h) is not None and _zz_quo(g, h) is not None:
                 return h
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
@@ -422,21 +436,6 @@ def _field_gcd(p: Poly, q: Poly) -> Poly:
         if not b.is_zero():
             b = b.monic()
     return a.monic()
-
-
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a reduced mod b."""
-    db = b.degree()
-    lb = b.lead()
-    r = a
-    e = a.degree() - db + 1
-    while not r.is_zero() and r.degree() >= db:
-        shift = r.degree() - db
-        r = r.scale(lb) - b.scale(r.lead()).shift(shift)
-        e -= 1
-    if e > 0:
-        r = r.scale(lb ** e)
-    return r
 
 
 def resultant(p, q) -> Poly:
@@ -515,21 +514,22 @@ def det_bareiss(rows):
 
 # --- root finding ---
 
-def _square_free_model(p: Poly):
-    """Integer model of the square-free part of the Rational p, degree >= 1."""
-    g = gcd(p, p.derivative())
-    return (p if g.degree() == 0 else p / g).integer_model()[0]
+def _square_free_model(f):
+    """Square-free part of the integer model f, degree >= 1, as an integer model."""
+    g = _zz_gcd(f, _zz_primitive([i * c for i, c in enumerate(f)][1:]))
+    return f if len(g) == 1 else _zz_quo(f, g)
 
 
 def _padic_roots(f):
-    """The rational roots of the square-free integer model f, by p-adic lifting.
+    """Candidate rational roots of the square-free integer model f, by p-adic lifting.
 
     Loos (1983): take the first prime p not dividing lc = f[-1] at which
     every root of f mod p is simple; Newton's iteration lifts each to a
     unique root mod p^k.  A rational root r = N/D has D | lc and reduces to
     one of them, and lc*r is an integer of modulus at most
     B = lc + max|f_i| (Cauchy), so it is the symmetric residue of lc times
-    the lift once p^k > 2B.  A candidate is kept when X - r divides f.
+    the lift once p^k > 2B.  Every rational root is among the candidates;
+    the caller's exact division (_peel_roots) keeps the true ones.
     """
     lc, df = f[-1], [i * c for i, c in enumerate(f)][1:]
     p = 1
@@ -548,41 +548,36 @@ def _padic_roots(f):
             m *= m
             x = (x - _zz_eval(f, x) * pow(_zz_eval(df, x), -1, m)) % m
         n = lc * x % m
-        r = Rational(n - m if n > m // 2 else n, lc)
-        if _zz_divides([-r.numerator, r.denominator], f):
-            out.append(r)
+        out.append(Rational(n - m if n > m // 2 else n, lc))
     return out
+
+
+def _peel_roots(f, candidates):
+    """(roots, cofactor) of the integer model f over the given candidates.
+
+    roots lists each candidate root of f by its multiplicity, ascending;
+    the cofactor is f with their linear factors divided out.
+    """
+    roots = []
+    for r in candidates:
+        k, f = _zz_peel(f, [-r.numerator, r.denominator])
+        roots += [r] * k
+    return sorted(roots), f
 
 
 def rational_roots(p: Poly):
     """All rational roots of p with multiplicity, ascending.
 
-    The roots of the square-free integer model come from _padic_roots,
-    complete at any coefficient height with no floating point, and
-    multiplicities from repeated exact division.
+    The candidates come from _padic_roots on the square-free integer model,
+    complete at any coefficient height with no floating point, and the
+    roots and multiplicities from repeated exact division.
     """
     if p.is_zero():
         raise ZeroInput("root finding needs a nonzero polynomial")
     if p.degree() < 1:
         return []
-    ints, _ = p.integer_model()
-    zeros = 0
-    while ints[0] == 0:
-        ints.pop(0)
-        zeros += 1
-    roots = [Rational(0)] * zeros
-    if len(ints) > 1:
-        work = Poly(ints)
-        for root in _padic_roots(_square_free_model(work)):
-            factor = Poly([-root, 1])
-            while True:
-                q, r = work.divrem(factor)
-                if not r.is_zero():
-                    break
-                roots.append(root)
-                work = q
-    roots.sort()
-    return roots
+    f = p.integer_model()[0]
+    return _peel_roots(f, _padic_roots(_square_free_model(f)))[0]
 
 
 def _mpf_to_rational(x):
@@ -642,11 +637,9 @@ def quad_irrational_roots(p: Poly):
     """
     if p.is_zero():
         raise ZeroInput("root finding needs a nonzero polynomial")
-    out = list(rational_roots(p))
-    work = p
-    for r in out:
-        work = work / Poly([-r, 1])
-    if work.degree() < 2:
+    out = rational_roots(p)  # by name: perfbench/spans.py wraps it here
+    work = _peel_roots(p.integer_model()[0], dict.fromkeys(out))[1]
+    if len(work) < 3:
         return out
     sints = _square_free_model(work)
     roots, err = _certified_roots(sints)
@@ -667,24 +660,13 @@ def quad_irrational_roots(p: Poly):
             if (t, n) in seen:
                 continue
             seen.add((t, n))
-            factor = Poly([n, -t, 1])
-            q, rem = work.divrem(factor)
-            if not rem.is_zero():
+            # work has no rational root left, so a quadratic factor is irreducible
+            d = lcm(t.denominator, n.denominator)
+            mult = _zz_peel(work, [int(n * d), int(-t * d), d])[0]
+            if not mult:
                 continue
-            disc = t * t - 4 * n
-            if sqrt_exact(disc) is not None:
-                continue  # rational pair, already collected
-            mult = 1
-            while True:
-                q2, rem2 = q.divrem(factor)
-                if not rem2.is_zero():
-                    break
-                mult += 1
-                q = q2
-            half_t, half = t / 2, Rational(1, 2)
-            for _ in range(mult):
-                quads.append(QuadExt(half_t, half, disc))
-                quads.append(QuadExt(half_t, -half, disc))
+            disc, half = t * t - 4 * n, Rational(1, 2)
+            quads += [QuadExt(t / 2, half, disc), QuadExt(t / 2, -half, disc)] * mult
     quads.sort(key=sort_key)
     return out + quads
 

@@ -84,31 +84,28 @@ def candidate_orders(g: int) -> CandidateOrders:
     return CandidateOrders(g, tuple(sorted(out)))
 
 
-def _fixes_branch(F: Poly, n: int, m: MoebiusMap, fixed) -> bool:
-    """Whether m fixes a branch point of Y^2 = F, F rational of form degree n.
+def _fixes_branch(F: Poly, m: MoebiusMap) -> bool:
+    """Whether m fixes a branch point of Y^2 = F, F the rational even model.
 
-    With the fixed points known (Q or a quadratic field), F is evaluated at
-    each finite one, and infinity is a branch point when deg F < n.  When
-    they generate a quartic field (fixed is None), they are the roots of
-    fix = cX^2 + (d - a)X - b over Q(sqrt(D)); N = fix * conj(fix) is
-    rational, and F shares a root with N exactly when it shares one with
-    fix: a root r of conj(fix) with F(r) = 0 gives the root sigma(r) of fix
-    with F(sigma(r)) = sigma(F(r)) = 0, sigma extending the conjugation.
+    Infinity is no branch point of the even model, so only the finite fixed
+    points count: the roots of fix = cX^2 + (d - a)X - b, over Q or Q(sqrt(D)).
+    N = fix * conj(fix) is rational, and F shares a root with N exactly when
+    it shares one with fix: a root r of conj(fix) with F(r) = 0 gives the
+    root sigma(r) of fix with F(sigma(r)) = sigma(F(r)) = 0, sigma extending
+    the conjugation.
     """
-    if fixed is not None:
-        return any(F.degree() < n if p is INFINITY else F.eval(p) == 0 for p in fixed)
     a, b, c, d = m.entries()
     fix = [-b, d - a, c]
     N = Poly(fix) * Poly([v.conj() if isinstance(v, QuadExt) else v for v in fix])
     return gcd(F, Poly([rat(v) for v in N.coeffs])).degree() >= 1
 
 
-def _certificate(F: Poly, n: int, m: MoebiusMap, lam) -> InvolutionCertificate:
+def _certificate(F: Poly, m: MoebiusMap, lam) -> InvolutionCertificate:
     try:
         fixed = m.fixed_points()
     except ValueError:
         fixed = None
-    return InvolutionCertificate(m, lam, fixed, _fixes_branch(F, n, m, fixed))
+    return InvolutionCertificate(m, lam, fixed, _fixes_branch(F, m))
 
 
 def _involution_equations(f, n: int):
@@ -211,7 +208,7 @@ def detect_involutions(curve) -> list:
 
     def record(m: MoebiusMap, lam):
         if m not in found:
-            found[m] = _certificate(F, n, m, lam)
+            found[m] = _certificate(F, m, lam)
 
     # Case c = 0: gamma = -X + beta.  Matching the X^(n-1) coefficient of
     # F(-X + beta) = lam * F forces beta; everything else is verification.

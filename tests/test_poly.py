@@ -486,6 +486,25 @@ class TestQuadIrrationalRoots:
                            match="degree 2 with 2-bit coefficients, last at 152 digits: forced"):
             quad_irrational_roots(x**2 - 2)
 
+    def test_no_division_over_q(self, monkeypatch):
+        # zero roots, a repeated rational root and a repeated irreducible
+        # quadratic are all divided out of the integer model in Z[x]
+        x = variable()
+        p = x**2 * (x - 2) ** 3 * (3 * x + 1) * (x**2 + x + 1) ** 2 * (x**2 - 5)
+        rationals = [Rational(-1, 3), Rational(0), Rational(0)] + [Rational(2)] * 3
+
+        def no_divrem(self, other):
+            raise AssertionError("Poly.divrem was called")
+
+        monkeypatch.setattr(Poly, "divrem", no_divrem)
+        assert rational_roots(p) == rationals
+        roots = quad_irrational_roots(p)
+        assert roots[:6] == rationals
+        w = Rational(-1, 2)
+        assert sorted(roots[6:], key=repr) == sorted(
+            [QuadExt(w, Rational(1, 2), -3), QuadExt(w, Rational(-1, 2), -3)] * 2
+            + [QuadExt(0, 1, 5), QuadExt(0, -1, 5)], key=repr)
+
     def test_cubic_irrational_factor_ignored(self):
         x = variable()
         p = (x**3 - 2) * (x - 5)

@@ -160,10 +160,15 @@ def _refuse_field_gcd(p, q):
     raise AssertionError("Euclid over Q(sqrt d) was called")
 
 
+def _refuse_eval(self, x):
+    raise AssertionError("F was evaluated at a fixed point")
+
+
 class TestFixesBranch:
-    # Whether a certificate fixes a branch point is read off its fixed
-    # points, or decided over Q when they generate a quartic field; no gcd
-    # over a quadratic field is taken.
+    # Whether a certificate fixes a branch point is decided over Q by one
+    # test, gcd(F, fix * conj(fix)) for the fixed-point quadratic fix, for
+    # fixed points in Q, a quadratic field or a quartic one alike; F is
+    # never evaluated at them and no gcd over a quadratic field is taken.
 
     def test_moved_curves_classify_without_field_gcd(self, monkeypatch):
         monkeypatch.setattr(poly_module, "_field_gcd", _refuse_field_gcd)
@@ -181,24 +186,35 @@ class TestFixesBranch:
             assert len([t for t in over_q_sqrt if t.fixes_branch_points]) == fixing
             assert classify(moved).invariants == classify(curve(base)).invariants
 
-    def test_either_fixed_point_counts(self):
-        # X -> 4/X fixes 2 (listed first) and -2; only -2 is a root here
+    def test_either_fixed_point_counts(self, monkeypatch):
+        monkeypatch.setattr(Poly, "eval", _refuse_eval)
         x = variable()
+        # X -> 4/X fixes 2 (listed first) and -2; only -2 is a root here
         m = MoebiusMap(0, 4, 1, 0)
         assert m.fixed_points() == (2, -2)
-        assert symmetry._certificate((x + 2) * (x**5 + 7), 6, m, 1).fixes_branch_points
-        assert not symmetry._certificate((x + 3) * (x**5 + 7), 6, m, 1).fixes_branch_points
+        assert symmetry._certificate((x + 2) * (x**5 + 7), m, 1).fixes_branch_points
+        assert not symmetry._certificate((x + 3) * (x**5 + 7), m, 1).fixes_branch_points
+        # X -> -X + 4 fixes 2 and infinity, no branch point of the even model
+        m = MoebiusMap(-1, 4, 0, 1)
+        assert symmetry._certificate((x - 2) * (x**5 + 7), m, 1).fixes_branch_points
+        assert not symmetry._certificate((x - 3) * (x**5 + 7), m, 1).fixes_branch_points
+        # X -> -(X + 2)/(2X + 1) fixes the roots of X^2 + X + 1, in Q(sqrt -3)
+        m = MoebiusMap(-1, -2, 2, 1)
+        assert all(isinstance(p, QuadExt) and p.d == -3 for p in m.fixed_points())
+        assert symmetry._certificate((x**2 + x + 1) * (x**4 + 7), m, 1).fixes_branch_points
+        assert not symmetry._certificate((x**2 + x + 2) * (x**4 + 7), m, 1).fixes_branch_points
 
     def test_quartic_fixed_points_decided_over_q(self, monkeypatch):
         monkeypatch.setattr(poly_module, "_field_gcd", _refuse_field_gcd)
+        monkeypatch.setattr(Poly, "eval", _refuse_eval)
         # X -> sqrt(2)/X fixes the roots of X^2 - sqrt(2), which are +-2^(1/4)
         m = MoebiusMap(0, QuadExt(0, 1, 2), 1, 0)
         x = variable()
         on = (x**4 - 2) * (x**2 + 5)
         off = (x**4 - 3) * (x**2 + 5)
-        assert symmetry._certificate(on, 6, m, 1).fixes_branch_points
-        assert symmetry._certificate(on, 6, m, 1).fixed_points is None
-        assert not symmetry._certificate(off, 6, m, 1).fixes_branch_points
+        assert symmetry._certificate(on, m, 1).fixes_branch_points
+        assert symmetry._certificate(on, m, 1).fixed_points is None
+        assert not symmetry._certificate(off, m, 1).fixes_branch_points
 
 
 _BASES = {
