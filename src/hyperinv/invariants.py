@@ -10,7 +10,6 @@ QuadExt, and nested Poly inputs (the latter for symbolic identities).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (
@@ -21,6 +20,7 @@ from .errors import (
 )
 from .exact import QuadExt, Rational, collapse, sort_key
 from .poly import _coerce_coeff, det_bareiss
+from .record import frozen_record
 
 
 def _pow(x, k: int):
@@ -28,7 +28,7 @@ def _pow(x, k: int):
     return 1 if k == 0 else x ** k
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DihedralInvariants:
     """The tuple (u_1, ..., u_g) of dihedral invariants for a given genus."""
 
@@ -52,7 +52,7 @@ class DihedralInvariants:
         return all(x == 0 for x in self.u)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GroupLabel:
     """Automorphism group name plus the reduced-group order when known.
 
@@ -269,7 +269,7 @@ def canonicalize_invariants(u: DihedralInvariants) -> DihedralInvariants:
     return u
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Classification:
     """Full pipeline outcome: invariants (when they exist) plus the label.
 

@@ -12,13 +12,12 @@ invariants give a model with rational coefficients: the field of moduli is
 a field of definition on the locus.
 """
 
-from dataclasses import dataclass
-
 from .curve import HyperellipticCurve
 from .errors import NotOnLocus, SingularModel, SingularOutput, ZeroLeading
 from .exact import QuadExt, Rational, collapse, rat
 from .invariants import DihedralInvariants, dihedral_from_even, locus_eval
 from .poly import Poly, gcd
+from .record import frozen_record
 
 
 def _coerce(x):
@@ -34,7 +33,7 @@ def _as_invariants(u) -> DihedralInvariants:
     return DihedralInvariants(vals, len(vals))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RationalModelResult:
     """Outcome of reconstructing a curve from its dihedral invariants.
 

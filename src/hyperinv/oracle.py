@@ -15,9 +15,7 @@ for it: group orders and element orders can be compared against labels
 derived from invariants without sharing any code path.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Tuple
 
@@ -26,6 +24,7 @@ from .exact import Rational
 from .invariants import GroupLabel
 from .moebius import INFINITY
 from .poly import numeric_roots
+from .record import frozen_record
 
 _GENUS2_LABELS = {
     1: "Z2",
@@ -38,7 +37,7 @@ _GENUS2_LABELS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NumericGroup:
     """Reduced symmetry group recovered from branch-point permutations.
 
@@ -63,6 +62,19 @@ def _chordal(z, w) -> float:
     return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
 
 
+def _lift(z):
+    """Stereographic lift to the unit sphere, infinity at (0, 0, 1).
+
+    The Euclidean distance between two lifts is the chordal distance.
+    """
+    if z is INFINITY:
+        return (0.0, 0.0, 1.0)
+    x, y = z.real, z.imag
+    r2 = x * x + y * y
+    s = 1.0 + r2
+    return (2.0 * x / s, 2.0 * y / s, (r2 - 1.0) / s)
+
+
 def _to_zero_one_inf(z1, z2, z3):
     """Matrix of the map sending (z1, z2, z3) to (0, 1, infinity)."""
     if z1 is INFINITY:
@@ -75,12 +87,16 @@ def _to_zero_one_inf(z1, z2, z3):
 
 
 def _triple_map(src, dst):
-    """Matrix of the map sending the source triple to the target triple."""
-    a, b, c, d = _to_zero_one_inf(*src)
+    """Matrix of the map sending a source triple to the target triple.
+
+    ``src`` is the source triple's map to (0, 1, infinity), as returned by
+    _to_zero_one_inf, so that it is computed once for all targets.
+    """
+    a, b, c, d = src
     p, q, r, s = _to_zero_one_inf(*dst)
     m = (s * a - q * c, s * b - q * d, p * c - r * a, p * d - r * b)
-    scale = max(abs(x) for x in m)
-    return tuple(x / scale for x in m)
+    scale = max(map(abs, m))
+    return (m[0] / scale, m[1] / scale, m[2] / scale, m[3] / scale)
 
 
 def _apply(m, z):
@@ -96,30 +112,32 @@ def _apply(m, z):
     return num / den
 
 
-def _match_permutation(m, branch, tol):
+def _match_permutation(m, branch, lifts, tol):
     """Permutation induced on ``branch`` by ``m``, or None if it is not one.
 
-    Raises ToleranceAmbiguity when an image point sits within tol of two
-    different branch points, since accepting either would be arbitrary.
+    ``lifts`` are the branch points lifted by _lift.  The map sends
+    branch[0:3] onto its target triple by construction, so the free points
+    branch[3:] are matched first: a map that is no symmetry fails on its
+    first image, after n distances.  Raises ToleranceAmbiguity when an
+    image point sits within tol of two different branch points, since
+    accepting either would be arbitrary.
     """
-    perm = []
-    for z in branch:
-        w = _apply(m, z)
-        best, best_j, second = None, None, None
-        for j, target in enumerate(branch):
-            dist = _chordal(w, target)
-            if best is None or dist < best:
-                best, second, best_j = dist, best, j
-            elif second is None or dist < second:
-                second = dist
-        if best > tol:
+    n = len(branch)
+    tol2 = tol * tol
+    perm = [0] * n
+    for i in (*range(3, n), 0, 1, 2):
+        w = _apply(m, branch[i])
+        x, y, z = _lift(w)
+        hits = [j for j, (p, q, r) in enumerate(lifts)
+                if (x - p) * (x - p) + (y - q) * (y - q) + (z - r) * (z - r) <= tol2]
+        if not hits:
             return None
-        if second is not None and second <= tol:
+        if len(hits) > 1:
             raise ToleranceAmbiguity(
                 f"image point {w} matches two branch points within {tol}"
             )
-        perm.append(best_j)
-    if len(set(perm)) != len(perm):
+        perm[i] = hits[0]
+    if len(set(perm)) != n:
         return None
     return tuple(perm)
 
@@ -139,13 +157,27 @@ def _perm_order(perm) -> int:
     return order
 
 
-def _exact_eval(coeffs, zr, zi):
-    """Horner evaluation over exact complex rationals; returns (re, im)."""
-    re = im = Rational(0)
-    for c in reversed(coeffs):
-        re, im = re * zr - im * zi, re * zi + im * zr
-        re += c
-    return re, im
+def _dyadic(z):
+    """Integers (a, b, k) with z = (a + bi) / 2^k: every float is dyadic."""
+    (ar, er), (ai, ei) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    k = max(er, ei).bit_length() - 1
+    return ar * (1 << k) // er, ai * (1 << k) // ei, k
+
+
+def _exact_magnitude(ints, content, a, b, k):
+    """|content · f((a + bi) / 2^k)| for the int coefficients of f.
+
+    A homogeneous Horner over the Gaussian integers gives 2^(k·deg) times
+    the value exactly.  Each part is then rounded once by int true
+    division, which is correctly rounded, as Fraction.__float__ is.
+    """
+    re, im = ints[-1], 0
+    shift = 0
+    for c in reversed(ints[:-1]):
+        shift += k
+        re, im = re * a - im * b + (c << shift), re * b + im * a
+    num, den = content.numerator, content.denominator << shift
+    return math.hypot(num * re / den, num * im / den)
 
 
 def _check_root_accuracy(F, roots, tol):
@@ -154,16 +186,16 @@ def _check_root_accuracy(F, roots, tol):
     The correction must be computed against the exact coefficients: a
     converged iterate is a near-exact root of the float-rounded polynomial,
     so a floating re-evaluation cannot see the gap to the true roots.
+    F and F' are evaluated on F's integer model, at each root taken exactly.
     """
     if not all(isinstance(c, Rational) for c in F.coeffs):
         return  # exact re-evaluation is only defined for rational models
-    dcoeffs = F.derivative().coeffs
+    ints, content = F.integer_model()
+    dints = [j * c for j, c in enumerate(ints)][1:]
     for z in roots:
-        zr, zi = Rational(z.real), Rational(z.imag)
-        fr, fi = _exact_eval(F.coeffs, zr, zi)
-        gr, gi = _exact_eval(dcoeffs, zr, zi)
-        fmag = math.hypot(float(fr), float(fi))
-        gmag = math.hypot(float(gr), float(gi))
+        a, b, k = _dyadic(z)
+        fmag = _exact_magnitude(ints, content, a, b, k)
+        gmag = _exact_magnitude(dints, content, a, b, k)
         if gmag == 0.0 or fmag > tol * gmag:
             raise ToleranceAmbiguity(
                 "branch points are not resolved at this tolerance"
@@ -194,15 +226,15 @@ def reduced_group(curve, tol: float = 1e-9) -> NumericGroup:
                     "branch points are not resolved at this tolerance"
                 )
 
-    src = tuple(branch[:3])
-    found = {}
-    for dst in permutations(range(n), 3):
-        m = _triple_map(src, tuple(branch[k] for k in dst))
-        perm = _match_permutation(m, branch, tol)
+    lifts = [_lift(z) for z in branch]
+    src = _to_zero_one_inf(*branch[:3])
+    perms = set()
+    for dst in permutations(branch, 3):
+        m = _triple_map(src, dst)
+        perm = _match_permutation(m, branch, lifts, tol)
         if perm is not None:
-            found[perm] = m
+            perms.add(perm)
 
-    perms = set(found)
     identity = tuple(range(n))
     if identity not in perms:
         raise ToleranceAmbiguity("identity symmetry not recovered")

@@ -23,8 +23,7 @@ argument linear in b, and a closed form gives it.
 
 from __future__ import annotations
 
-import cmath
-from math import gcd as igcd, isqrt, lcm
+from math import atan2, gcd as igcd, isqrt, lcm
 
 from ._kernel import durand_kerner
 from .errors import (BothZero, NonConvergence,
@@ -701,5 +700,5 @@ def numeric_roots(p: Poly, tol: float = 1e-9):
                 raise NonConvergence(
                     f"residual {residual:.3e} above tolerance at root {r}")
         roots.extend(found)
-    roots.sort(key=lambda z: (abs(z), cmath.phase(z)))
+    roots.sort(key=lambda z: (abs(z), atan2(z.imag, z.real)))
     return roots

@@ -18,7 +18,6 @@ involutions needing higher-degree fields are intentionally not reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, isqrt
 from typing import Optional, Tuple
@@ -33,9 +32,10 @@ from .exact import QuadExt, Rational, collapse, rat, sort_key
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
 from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs  # noqa: F401
 from .poly import Poly, _zz_strip, gcd, quad_irrational_roots, resultant
+from .record import frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class InvolutionCertificate:
     """A verified reduced involution.
 
@@ -51,7 +51,7 @@ class InvolutionCertificate:
     fixes_branch_points: bool
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CandidateOrders:
     """Possible orders N > 2 of reduced automorphisms at a given genus."""
 

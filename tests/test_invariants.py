@@ -296,13 +296,12 @@ class TestClassifyIntegration:
         assert r.locus[0] != 0 and r.locus[1] != 0
 
     def test_no_usable_involution_names_genus_and_count(self, monkeypatch):
-        import dataclasses
-
         import hyperinv.symmetry as symmetry
 
         search = symmetry.detect_involutions
         monkeypatch.setattr(symmetry, "detect_involutions", lambda c: [
-            dataclasses.replace(t, fixes_branch_points=True) for t in search(c)])
+            symmetry.InvolutionCertificate(t.map, t.lam, t.fixed_points, True)
+            for t in search(c)])
         with pytest.raises(SearchInconclusive,
                            match=r"none is usable for an even model \(genus 2, 7 certificates\)"):
             classify(curve(SEXTIC_PLUS_ONE))

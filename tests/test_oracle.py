@@ -1,17 +1,34 @@
 """Numeric branch-permutation oracle for reduced symmetry groups."""
 
+import math
+import random
 from collections import Counter
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hyperinv.errors import ToleranceAmbiguity, UnknownSignature
+from hyperinv import oracle
+from hyperinv.curve import transform
+from hyperinv.errors import (
+    ExcludedLocusPoint,
+    HyperinvError,
+    NonConvergence,
+    SingularOutput,
+    ToleranceAmbiguity,
+    UnknownSignature,
+)
+from hyperinv.invariants import classify_genus2, dihedral_from_normal, locus_eval
+from hyperinv.moduli import rational_model
+from hyperinv.moebius import INFINITY
 from hyperinv.oracle import (
     NumericGroup,
     has_klein_subgroup,
     label_from_signature,
     reduced_group,
 )
-from hyperinv.poly import Poly
+from hyperinv.poly import Poly, numeric_roots
 from hyperinv.exact import Rational
 
 from conftest import (
@@ -21,6 +38,7 @@ from conftest import (
     SEXTIC_MINUS_X,
     SEXTIC_PLUS_ONE,
     curve,
+    random_moebius,
 )
 
 
@@ -140,3 +158,200 @@ class TestTolerance:
         # so the Newton correction exceeds the requested tolerance
         with pytest.raises(ToleranceAmbiguity):
             reduced_group(self._tight_pair_curve(8), 1e-9)
+
+
+# --- reference: the matcher and root check the oracle used before it lifted
+# points to the unit sphere and evaluated roots over the Gaussian integers.
+# reduced_group must return what this returns, or raise the same type.
+
+def _reference_match(m, branch, tol):
+    perm = []
+    for z in branch:
+        w = oracle._apply(m, z)
+        best, best_j, second = None, None, None
+        for j, target in enumerate(branch):
+            dist = oracle._chordal(w, target)
+            if best is None or dist < best:
+                best, second, best_j = dist, best, j
+            elif second is None or dist < second:
+                second = dist
+        if best > tol:
+            return None
+        if second is not None and second <= tol:
+            raise ToleranceAmbiguity(
+                f"image point {w} matches two branch points within {tol}"
+            )
+        perm.append(best_j)
+    if len(set(perm)) != len(perm):
+        return None
+    return tuple(perm)
+
+
+def _exact_eval(coeffs, zr, zi):
+    re = im = Rational(0)
+    for c in reversed(coeffs):
+        re, im = re * zr - im * zi, re * zi + im * zr
+        re += c
+    return re, im
+
+
+def _reference_magnitudes(F, z):
+    """|F(z)| and |F'(z)| as the reference check rounded them."""
+    zr, zi = Rational(z.real), Rational(z.imag)
+    fr, fi = _exact_eval(F.coeffs, zr, zi)
+    gr, gi = _exact_eval(F.derivative().coeffs, zr, zi)
+    return math.hypot(float(fr), float(fi)), math.hypot(float(gr), float(gi))
+
+
+def _magnitudes(F, z):
+    """|F(z)| and |F'(z)| as reduced_group's root check rounds them."""
+    ints, content = F.integer_model()
+    dints = [j * c for j, c in enumerate(ints)][1:]
+    a, b, k = oracle._dyadic(z)
+    return (oracle._exact_magnitude(ints, content, a, b, k),
+            oracle._exact_magnitude(dints, content, a, b, k))
+
+
+def _reference_reduced_group(c, tol):
+    branch = list(numeric_roots(c.F))
+    if all(isinstance(x, Rational) for x in c.F.coeffs):
+        for z in branch:
+            fmag, gmag = _reference_magnitudes(c.F, z)
+            if gmag == 0.0 or fmag > tol * gmag:
+                raise ToleranceAmbiguity("branch points are not resolved at this tolerance")
+    if c.infinite_branch:
+        branch.append(INFINITY)
+    n = len(branch)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if oracle._chordal(branch[i], branch[j]) <= 10.0 * tol:
+                raise ToleranceAmbiguity("branch points are not resolved at this tolerance")
+    src = oracle._to_zero_one_inf(*branch[:3])
+    perms = set()
+    for dst in permutations(range(n), 3):
+        m = oracle._triple_map(src, tuple(branch[k] for k in dst))
+        perm = _reference_match(m, branch, tol)
+        if perm is not None:
+            perms.add(perm)
+    identity = tuple(range(n))
+    if identity not in perms:
+        raise ToleranceAmbiguity("identity symmetry not recovered")
+    for p in perms:
+        if tuple(p.index(i) for i in range(n)) not in perms:
+            raise ToleranceAmbiguity("permutation set is not closed under inverse")
+        for q in perms:
+            if tuple(p[q[i]] for i in range(n)) not in perms:
+                raise ToleranceAmbiguity("permutation set is not closed under composition")
+    elements = tuple(sorted(perms))
+    return elements, len(elements), tuple(sorted(oracle._perm_order(p) for p in elements))
+
+
+def _outcome(run, c, tol):
+    try:
+        grp = run(c, tol)
+    except (ToleranceAmbiguity, NonConvergence) as exc:
+        return type(exc)
+    if isinstance(grp, NumericGroup):
+        return grp.elements, grp.order, grp.element_orders
+    return grp
+
+
+@lru_cache(maxsize=None)
+def _reference_corpus():
+    """250 random square-free curves of degree 5-10, then 40 moved copies
+    each of X^6 - X, X^6 + X^3 + 1, X^5 - X and X^6 + 1."""
+    rng = random.Random(20261018)
+    curves = []
+    while len(curves) < 250:
+        deg = rng.randint(5, 10)
+        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-2, -1, 1, 3))]
+        try:
+            curves.append(curve(coeffs))
+        except HyperinvError:
+            continue  # repeated root
+    for base in (SEXTIC_MINUS_X, [1, 0, 0, 1, 0, 0, 1], QUINTIC, SEXTIC_PLUS_ONE):
+        done = 0
+        while done < 40:
+            try:
+                moved, _ = transform(curve(base), random_moebius(rng, -3, 3))
+            except HyperinvError:
+                continue  # the map collapsed the branch divisor
+            curves.append(moved)
+            done += 1
+    return tuple(curves)
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("tol, errors", [
+        (1e-4, {NonConvergence}),
+        (1e-9, {NonConvergence}),
+        (1e-12, {NonConvergence, ToleranceAmbiguity}),
+    ])
+    def test_same_group_or_error_as_reference(self, tol, errors):
+        seen = set()
+        for c in _reference_corpus():
+            want = _outcome(_reference_reduced_group, c, tol)
+            assert _outcome(reduced_group, c, tol) == want, (c.F, tol)
+            seen.add(want if isinstance(want, type) else want[1])
+        # the corpus reaches every group order of the moved curves and the
+        # errors expected at this tolerance
+        assert {1, 5, 6, 12, 24} | errors <= seen
+
+
+# ascending coefficients 1/3 - 2X + 5/2 X^3 + X^4 - 7/4 X^6
+_RATIONAL_SEXTIC = Poly([Rational(1, 3), -2, 0, Rational(5, 2), 1, 0, Rational(-7, 4)])
+
+
+class TestExactMagnitudes:
+    @pytest.mark.parametrize("z", [
+        complex(1.5, 0.0),  # zero imaginary part
+        complex(-0.7, -0.0),
+        0j,  # a zero root
+        complex(0.0, -2.25),
+        complex(3.0, 2.0 ** -40),  # parts with different binary exponents
+        complex(2.0 ** -30 * 3, 1e5),
+        complex(0.1, 0.7),
+    ])
+    def test_bit_identical_to_rational_horner(self, z):
+        assert _magnitudes(_RATIONAL_SEXTIC, z) == _reference_magnitudes(_RATIONAL_SEXTIC, z)
+
+    def test_bit_identical_at_computed_roots(self):
+        for F in (_RATIONAL_SEXTIC, curve(QUINTIC).F, curve([2, 0, 8, 0, 16, 0, 16]).F):
+            for z in numeric_roots(F):
+                assert _magnitudes(F, z) == _reference_magnitudes(F, z)
+
+    @pytest.mark.parametrize("z", [complex(1.5, 0.0), 0j, complex(3.0, 2.0 ** -40),
+                                   complex(-2.0 ** -1074, 2.0 ** 60)])
+    def test_dyadic_form_is_exact(self, z):
+        a, b, k = oracle._dyadic(z)
+        assert Rational(a, 2 ** k) == Rational(z.real)
+        assert Rational(b, 2 ** k) == Rational(z.imag)
+
+
+_LOCUS_ENTRY = st.builds(Rational, st.integers(-6, 6), st.integers(1, 4))
+
+
+class TestMinusBranchLocus:
+    """Random points of the minus branch, through rational_model."""
+
+    @settings(max_examples=60, deadline=5000, derandomize=True, database=None)
+    @given(g=st.integers(2, 6), data=st.data())
+    def test_oracle_group_of_the_model(self, g, data):
+        a = data.draw(st.lists(_LOCUS_ENTRY, min_size=g - 1, max_size=g - 1))
+        a.append(a[0])  # a_g = a_1 puts the point on the minus branch
+        assume(a[0] != 0)
+        u = dihedral_from_normal(a)
+        assert locus_eval(u)[0] == 0
+        try:
+            model = rational_model(u)
+        except SingularOutput:
+            assume(False)
+        grp = reduced_group(model.curve)
+        # the even model's X -> -X and the lifted involution commute
+        assert has_klein_subgroup(grp)
+        if g == 2:
+            try:
+                want = classify_genus2(u)
+            except ExcludedLocusPoint:
+                return
+            assert label_from_signature(2, grp) == want
