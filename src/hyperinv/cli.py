@@ -6,12 +6,12 @@ Every invocation prints a single JSON object::
      "flags": [...]}
 
 where version is hyperinv.__version__, and exits 0 on success, 1 on
-invalid input, 2 when a search or numeric procedure was inconclusive, and
-3 when the invariants land on a locus point whose group is deliberately
-left unclassified.  Scalars are
-serialized as strings (rationals) or {"a","b","d"} objects (quadratic
-extension elements), never as floats, so output can be piped back in
-without losing exactness.
+invalid input, 2 when a search or numeric procedure was inconclusive
+(errors.Inconclusive), and 3 when the invariants land on a locus point
+whose group is deliberately left unclassified.  Scalars are serialized
+as strings (rationals) or {"a","b","d"} objects (quadratic extension
+elements), never as floats, so output can be piped back in without
+losing exactness.
 """
 
 import argparse
@@ -23,23 +23,11 @@ import sys
 from . import __version__
 from .curve import new_curve, to_even_degree
 from .errors import (
-    DegreeTooSmall,
     ExcludedLocusPoint,
-    FixedBranchPoint,
-    IllegalCollapse,
-    NonConvergence,
-    NotOnLocus,
-    OddTermResidue,
-    RadicandMismatch,
-    ReconstructionInconclusive,
+    HyperinvError,
+    Inconclusive,
     SearchInconclusive,
-    SingularModel,
-    SingularOutput,
-    ToleranceAmbiguity,
     UnknownSignature,
-    ZeroEndCoefficient,
-    ZeroInput,
-    ZeroLeading,
 )
 from .exact import QuadExt, Rational, rat
 from .invariants import classify, invariants_of
@@ -52,29 +40,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_EXCLUDED = 3
-
-_INVALID_ERRORS = (
-    DegreeTooSmall,
-    FixedBranchPoint,
-    IllegalCollapse,
-    NotOnLocus,
-    OddTermResidue,
-    RadicandMismatch,
-    SingularModel,
-    SingularOutput,
-    ZeroEndCoefficient,
-    ZeroInput,
-    ZeroLeading,
-    ValueError,
-    KeyError,
-    TypeError,
-)
-_INCONCLUSIVE_ERRORS = (
-    NonConvergence,
-    ReconstructionInconclusive,
-    SearchInconclusive,
-    ToleranceAmbiguity,
-)
 
 
 def _kebab(name: str) -> str:
@@ -328,6 +293,13 @@ def _emit(command, digest, result, flags, code):
     return code
 
 
+def _emit_error(command, ctx, exc, code):
+    name = type(exc).__name__
+    return _emit(command, ctx["digest"],
+                 {"error": _human(name), "detail": str(exc)},
+                 [_kebab(name)], code)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     ctx = {"digest": None}
@@ -335,13 +307,9 @@ def main(argv=None) -> int:
     try:
         result, flags = args.handler(args, ctx)
     except ExcludedLocusPoint as exc:
-        return _emit(command, ctx["digest"],
-                     {"error": _human(type(exc).__name__), "detail": str(exc)},
-                     [_kebab(type(exc).__name__)], EXIT_EXCLUDED)
-    except _INCONCLUSIVE_ERRORS as exc:
-        return _emit(command, ctx["digest"],
-                     {"error": _human(type(exc).__name__), "detail": str(exc)},
-                     [_kebab(type(exc).__name__)], EXIT_INCONCLUSIVE)
+        return _emit_error(command, ctx, exc, EXIT_EXCLUDED)
+    except Inconclusive as exc:
+        return _emit_error(command, ctx, exc, EXIT_INCONCLUSIVE)
     except json.JSONDecodeError as exc:
         return _emit(command, ctx["digest"],
                      {"error": "malformed JSON", "detail": str(exc)},
@@ -350,10 +318,8 @@ def main(argv=None) -> int:
         return _emit(command, ctx["digest"],
                      {"error": "unreadable input", "detail": str(exc)},
                      ["unreadable-input"], EXIT_INVALID)
-    except _INVALID_ERRORS as exc:
-        return _emit(command, ctx["digest"],
-                     {"error": _human(type(exc).__name__), "detail": str(exc)},
-                     [_kebab(type(exc).__name__)], EXIT_INVALID)
+    except (HyperinvError, ValueError, KeyError, TypeError) as exc:
+        return _emit_error(command, ctx, exc, EXIT_INVALID)
     return _emit(command, ctx["digest"], result, flags, EXIT_OK)
 
 

@@ -1,14 +1,21 @@
 """Exception types shared across the package.
 
 Every failure the library can signal deliberately derives from
-HyperinvError, so callers (and the CLI exit-code mapping) can tell
-deliberate outcomes apart from genuine bugs.  Plain division by zero
-raises the builtin ZeroDivisionError.
+HyperinvError, so callers can tell deliberate outcomes apart from genuine
+bugs.  Failures that leave the answer undecided (a search or numeric
+procedure that could not certify its result) derive from Inconclusive.
+The CLI maps the categories to exit codes: ExcludedLocusPoint exits 3,
+Inconclusive exits 2, and any other HyperinvError exits 1.  Plain
+division by zero raises the builtin ZeroDivisionError.
 """
 
 
 class HyperinvError(Exception):
     """Base class for all deliberate library errors."""
+
+
+class Inconclusive(HyperinvError):
+    """The procedure could not decide the answer; the input may be valid."""
 
 
 # --- exact scalars ---
@@ -27,11 +34,11 @@ class ZeroInput(HyperinvError):
     """Resultant of a zero polynomial is undefined here."""
 
 
-class NonConvergence(HyperinvError):
+class NonConvergence(Inconclusive):
     """Numeric root iteration hit its iteration cap."""
 
 
-class ReconstructionInconclusive(HyperinvError):
+class ReconstructionInconclusive(Inconclusive):
     """Numeric pairing failed to certify; caller must treat the search as incomplete."""
 
 
@@ -57,7 +64,7 @@ class IllegalCollapse(HyperinvError):
 
 # --- involution search ---
 
-class SearchInconclusive(HyperinvError):
+class SearchInconclusive(Inconclusive):
     """Involution search could not certify completeness over degree <= 2 fields."""
 
 
@@ -95,7 +102,7 @@ class ZeroLeading(HyperinvError):
 
 # --- numeric oracle ---
 
-class ToleranceAmbiguity(HyperinvError):
+class ToleranceAmbiguity(Inconclusive):
     """Distinct numeric candidates collided within tolerance; result unreliable."""
 
 

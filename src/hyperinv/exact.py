@@ -14,8 +14,6 @@ from math import isqrt
 
 from .errors import RadicandMismatch
 
-Scalar = "Rational | QuadExt"  # informal union used in signatures
-
 
 def rat(x) -> Rational:
     """Coerce x (int, str 'p/q', rational-like, rational QuadExt) to Rational."""
@@ -66,8 +64,9 @@ def _canonical_radicand(num: int, den: int):
     Clears the denominator, then pulls out square factors whose prime part
     is below a fixed trial-division bound; rare radicands with a larger
     square prime factor stay as they come, which costs canonicality but
-    never exactness.  Cached because arithmetic re-normalizes the same
-    radicand over and over.
+    never exactness.  Arithmetic goes through _make and never comes here;
+    the cache serves the QuadExt(...) calls that build quadratic roots and
+    fixed points, which meet the same few discriminants over and over.
     """
     m = num * den
     sign = -1 if m < 0 else 1

@@ -205,6 +205,7 @@ def apply_dihedral_action(coeffs, element):
     raise ValueError('element must be "swap" or ("scale", t, s)')
 
 
+# Genus-2 automorphism groups and their reduced orders |G|/2.
 _GENUS2_ORDERS = {
     "Z2": 1,
     "V4": 2,
@@ -214,6 +215,10 @@ _GENUS2_ORDERS = {
     "GL2(3)": 24,
     "Z10": 5,
 }
+
+
+def _genus2_label(name: str) -> GroupLabel:
+    return GroupLabel(name, _GENUS2_ORDERS[name])
 
 
 def classify_genus2(u) -> GroupLabel:
@@ -236,18 +241,18 @@ def classify_genus2(u) -> GroupLabel:
     if not (isinstance(u1, Rational) and isinstance(u2, Rational)):
         raise ValueError("genus-2 classification is defined for rational invariants")
     if (u1, u2) in ((0, 0), (6750, 450)):
-        return GroupLabel("Z3⋊D8", 12)
+        return _genus2_label("Z3⋊D8")
     if (u1, u2) == (-250, 50):
-        return GroupLabel("GL2(3)", 24)
+        return _genus2_label("GL2(3)")
     if u2 * u2 - 220 * u2 - 16 * u1 + 4500 == 0 and u2 not in (18, 50):
-        return GroupLabel("D12", 6)
+        return _genus2_label("D12")
     if 2 * u1 * u1 - u2 ** 3 == 0:
         if u2 in (2, 18):
             raise ExcludedLocusPoint(
                 f"point (u1, u2) = ({u1}, {u2}) has no smooth classification"
             )
-        return GroupLabel("D8", 4)
-    return GroupLabel("V4", 2)
+        return _genus2_label("D8")
+    return _genus2_label("V4")
 
 
 def canonicalize_invariants(u: DihedralInvariants) -> DihedralInvariants:

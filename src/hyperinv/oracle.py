@@ -21,20 +21,12 @@ from typing import Tuple
 
 from .errors import ToleranceAmbiguity, UnknownSignature
 from .exact import Rational
-from .invariants import GroupLabel
+from .invariants import _GENUS2_ORDERS, GroupLabel
 from .moebius import INFINITY
 from .poly import numeric_roots
 from .record import frozen_record
 
-_GENUS2_LABELS = {
-    1: "Z2",
-    2: "V4",
-    4: "D8",
-    5: "Z10",
-    6: "D12",
-    12: "Z3⋊D8",
-    24: "GL2(3)",
-}
+_GENUS2_LABELS = {n: name for name, n in _GENUS2_ORDERS.items()}
 
 
 @frozen_record
@@ -49,17 +41,6 @@ class NumericGroup:
     elements: Tuple[Tuple[int, ...], ...]
     order: int
     element_orders: Tuple[int, ...]
-
-
-def _chordal(z, w) -> float:
-    """Distance on the Riemann sphere; finite even when a point is infinite."""
-    if z is INFINITY and w is INFINITY:
-        return 0.0
-    if z is INFINITY:
-        return 2.0 / math.sqrt(1.0 + abs(w) ** 2)
-    if w is INFINITY:
-        return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
-    return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
 
 
 def _lift(z):
@@ -219,14 +200,15 @@ def reduced_group(curve, tol: float = 1e-9) -> NumericGroup:
     if curve.infinite_branch:
         branch.append(INFINITY)
     n = len(branch)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _chordal(branch[i], branch[j]) <= 10.0 * tol:
+    lifts = [_lift(z) for z in branch]
+    sep2 = (10.0 * tol) ** 2
+    for i, (x, y, z) in enumerate(lifts):
+        for p, q, r in lifts[i + 1:]:
+            if (x - p) * (x - p) + (y - q) * (y - q) + (z - r) * (z - r) <= sep2:
                 raise ToleranceAmbiguity(
                     "branch points are not resolved at this tolerance"
                 )
 
-    lifts = [_lift(z) for z in branch]
     src = _to_zero_one_inf(*branch[:3])
     perms = set()
     for dst in permutations(branch, 3):

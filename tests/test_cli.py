@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hyperinv
+from hyperinv import cli, errors
 
 CLI = [sys.executable, "-m", "hyperinv.cli"]
 
@@ -272,3 +275,57 @@ class TestErrorHandling:
         proc = run_cli("classify", str(path))
         assert proc.stdout.count("\n") == 1
         assert proc.stdout.endswith("\n")
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.HyperinvError)),
+    key=lambda c: c.__name__,
+)
+
+
+class TestErrorCategories:
+    def test_inconclusive_members(self):
+        inconclusive = {c.__name__ for c in ERROR_CLASSES
+                        if issubclass(c, errors.Inconclusive)}
+        assert inconclusive == {
+            "Inconclusive",
+            "NonConvergence",
+            "ReconstructionInconclusive",
+            "SearchInconclusive",
+            "ToleranceAmbiguity",
+        }
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_error_class_reports_json(self, cls, monkeypatch, capsys):
+        def handler(args, ctx):
+            raise cls("raised by a test handler")
+
+        monkeypatch.setattr(cli, "cmd_candidates", handler)
+        code = cli.main(["candidates", "--genus", "5"])
+        if cls is errors.ExcludedLocusPoint:
+            expected = 3
+        elif issubclass(cls, errors.Inconclusive):
+            expected = 2
+        else:
+            expected = 1
+        assert code == expected
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        rep = json.loads(lines[0])
+        assert rep["flags"] == [cli._kebab(cls.__name__)]
+        assert rep["result"]["detail"] == "raised by a test handler"
+
+
+def test_cold_start_skips_heavy_modules():
+    heavy = ("mpmath", "dataclasses", "inspect", "ast", "dis", "cmath")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, hyperinv.cli; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

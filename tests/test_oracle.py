@@ -160,9 +160,21 @@ class TestTolerance:
             reduced_group(self._tight_pair_curve(8), 1e-9)
 
 
-# --- reference: the matcher and root check the oracle used before it lifted
-# points to the unit sphere and evaluated roots over the Gaussian integers.
+# --- reference: the chordal distance, matcher, separation check and root
+# check the oracle used before it lifted points to the unit sphere and
+# evaluated roots over the Gaussian integers.
 # reduced_group must return what this returns, or raise the same type.
+
+def _chordal(z, w) -> float:
+    """Distance on the Riemann sphere; finite even when a point is infinite."""
+    if z is INFINITY and w is INFINITY:
+        return 0.0
+    if z is INFINITY:
+        return 2.0 / math.sqrt(1.0 + abs(w) ** 2)
+    if w is INFINITY:
+        return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
+    return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
+
 
 def _reference_match(m, branch, tol):
     perm = []
@@ -170,7 +182,7 @@ def _reference_match(m, branch, tol):
         w = oracle._apply(m, z)
         best, best_j, second = None, None, None
         for j, target in enumerate(branch):
-            dist = oracle._chordal(w, target)
+            dist = _chordal(w, target)
             if best is None or dist < best:
                 best, second, best_j = dist, best, j
             elif second is None or dist < second:
@@ -224,7 +236,7 @@ def _reference_reduced_group(c, tol):
     n = len(branch)
     for i in range(n):
         for j in range(i + 1, n):
-            if oracle._chordal(branch[i], branch[j]) <= 10.0 * tol:
+            if _chordal(branch[i], branch[j]) <= 10.0 * tol:
                 raise ToleranceAmbiguity("branch points are not resolved at this tolerance")
     src = oracle._to_zero_one_inf(*branch[:3])
     perms = set()
