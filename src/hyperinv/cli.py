@@ -29,7 +29,7 @@ from .errors import (
     SearchInconclusive,
     UnknownSignature,
 )
-from .exact import QuadExt, Rational, rat
+from .exact import QuadExt, rat
 from .invariants import classify, invariants_of
 from .moduli import rational_model
 from .moebius import MoebiusMap, is_automorphism
@@ -58,7 +58,7 @@ def scalar_to_json(x):
 
 def scalar_from_json(v):
     if isinstance(v, dict):
-        return QuadExt(rat(v["a"]), rat(v["b"]), rat(v["d"]))
+        return QuadExt(v["a"], v["b"], v["d"])
     if isinstance(v, (str, int)):
         return rat(v)
     raise ValueError(f"cannot parse scalar from {v!r}")

@@ -2,7 +2,10 @@
 
 Rational is fractions.Fraction under the package's name for it; this
 module is the one place the rest of the package takes it from.
-QuadExt adds values a + b*sqrt(d) over a fixed non-square radicand d.
+QuadExt adds values a + b*sqrt(d) over a fixed non-square radicand d, and
+only irrational ones: b is never 0, because QuadExt(a, 0, d) and every
+arithmetic result with a zero radical part are the Rational a.  So a
+rational value is always a Rational, and code elsewhere never normalises.
 Everything here is exact; nothing rounds.
 """
 
@@ -16,14 +19,12 @@ from .errors import RadicandMismatch
 
 
 def rat(x) -> Rational:
-    """Coerce x (int, str 'p/q', rational-like, rational QuadExt) to Rational."""
+    """Coerce x (int, str 'p/q', rational-like) to Rational."""
     if isinstance(x, Rational):
         return x
     if isinstance(x, (int, str)):
         return Rational(x)
     if isinstance(x, QuadExt):
-        if x.b == 0:
-            return x.a
         raise ValueError(f"{x} is irrational, cannot coerce to Rational")
     if isinstance(x, float):
         raise TypeError("floats are not exact; convert explicitly")
@@ -90,41 +91,39 @@ class QuadExt:
     rescaling is absorbed into b), so equal values built from different
     presentations of the same extension compare equal.  Two irrational
     values only interoperate in arithmetic when their radicands name one
-    field (d1*d2 a square); a value with b == 0 is rational and mixes with
-    anything.  Equality, hashing and sort_key all read one value key, so a
-    radicand left non-canonical (a square prime factor past the trial
-    bound) still gives one set or dict key and one sort position per field
-    element.
+    field (d1*d2 a square).  The radical part b is never 0: QuadExt(a, 0, d)
+    checks d as usual and then returns the Rational a, so no QuadExt is
+    rational and none equals a Rational.  Equality, hashing and sort_key
+    all read one value key, so a radicand left non-canonical (a square
+    prime factor past the trial bound) still gives one set or dict key and
+    one sort position per field element.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b, d):
+    def __new__(cls, a, b, d):
         a, b, d = rat(a), rat(b), rat(d)
         if d == 0 or is_square(d):
             raise ValueError(f"radicand {d} is a perfect square; use a Rational")
+        if b == 0:
+            return a
         canon, mul = _canonical_radicand(int(d.numerator), int(d.denominator))
-        self.a, self.b, self.d = a, b * mul, Rational(canon)
+        return _make(a, b * mul, Rational(canon))
 
     # --- structure ---
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def conj(self) -> "QuadExt":
         return _make(self.a, -self.b, self.d)
 
     def norm(self) -> Rational:
-        """Field norm a^2 - b^2 d; zero only for the zero element."""
+        """Field norm a^2 - b^2 d; never zero, as b != 0 and d is no square."""
         return self.a * self.a - self.b * self.b * self.d
 
     def _coerce(self, other):
         """Return other as (a, b) over self's radicand, or None."""
         if isinstance(other, QuadExt):
-            if other.d == self.d or other.b == 0:
+            if other.d == self.d:
                 return other.a, other.b
-            if self.b == 0:
-                return other.a, other.b  # harmless: self is rational
             # one field when d1*d2 = s^2; then sqrt(d2) = (s/|d1|) sqrt(d1)
             s = sqrt_exact(self.d * other.d)
             if s is None:
@@ -142,8 +141,7 @@ class QuadExt:
         if co is None:
             return NotImplemented
         oa, ob = co
-        d = self.d if self.b != 0 or not isinstance(other, QuadExt) else other.d
-        return _make(self.a + oa, self.b + ob, d)
+        return _make(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
@@ -152,8 +150,7 @@ class QuadExt:
         if co is None:
             return NotImplemented
         oa, ob = co
-        d = self.d if self.b != 0 or not isinstance(other, QuadExt) else other.d
-        return _make(self.a - oa, self.b - ob, d)
+        return _make(self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
         co = self._coerce(other)
@@ -167,7 +164,7 @@ class QuadExt:
         if co is None:
             return NotImplemented
         oa, ob = co
-        d = self.d if self.b != 0 or not isinstance(other, QuadExt) else other.d
+        d = self.d
         return _make(self.a * oa + self.b * ob * d,
                      self.a * ob + self.b * oa, d)
 
@@ -178,7 +175,7 @@ class QuadExt:
         if co is None:
             return NotImplemented
         oa, ob = co
-        d = self.d if self.b != 0 or not isinstance(other, QuadExt) else other.d
+        d = self.d
         n = oa * oa - ob * ob * d
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic element")
@@ -192,8 +189,6 @@ class QuadExt:
             return NotImplemented
         oa, ob = co
         n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quadratic element")
         return _make((oa * self.a - ob * self.b * self.d) / n,
                      (ob * self.a - oa * self.b) / n, self.d)
 
@@ -230,27 +225,16 @@ class QuadExt:
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             return self._value_key() == other._value_key()
-        try:
-            q = rat(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.b == 0 and self.a == q
+        return NotImplemented  # an irrational value equals no rational one
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
         return hash(self._value_key())
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
 
     def sign(self) -> int:
         """Exact sign for real embeddings (d > 0 uses the positive root)."""
-        if self.d < 0 and self.b != 0:
+        if self.d < 0:
             raise ValueError("no real sign for a negative radicand")
         a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
         if a == 0:
             return -1 if b < 0 else 1
         if a > 0 and b > 0:
@@ -285,7 +269,7 @@ class QuadExt:
     # --- conversions ---
 
     def __float__(self):
-        if self.d < 0 and self.b != 0:
+        if self.d < 0:
             raise ValueError("complex value; use complex()")
         return float(self.a) + float(self.b) * float(self.d) ** 0.5
 
@@ -298,17 +282,15 @@ class QuadExt:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d!r})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
 def _make(a, b, d):
-    """Build a QuadExt, collapsing to Rational when the radical part is zero.
+    """Build a QuadExt, or the Rational a when the radical part b is zero.
 
     Internal constructor for results of arithmetic on existing values: a and
     b are already Rational and d is a radicand taken from a QuadExt, so it
-    is canonical and not a square.  Re-running __init__'s coercion, square
+    is canonical and not a square.  Re-running __new__'s coercion, square
     test and canonicalisation would change nothing; QuadExt(...) called
     from outside keeps all of that validation.
     """
@@ -319,13 +301,6 @@ def _make(a, b, d):
     return x
 
 
-def collapse(x):
-    """Rationalize x when possible: QuadExt with zero radical part -> Rational."""
-    if isinstance(x, QuadExt) and x.b == 0:
-        return x.a
-    return x
-
-
 def sqrt_in_field(x, ambient=None):
     """Exact square root of x inside its own field, or None.
 
@@ -333,7 +308,6 @@ def sqrt_in_field(x, ambient=None):
     a root in Q(sqrt(ambient)); QuadExt input gives a root in the same
     quadratic extension when one exists there.
     """
-    x = collapse(x)
     if not isinstance(x, QuadExt):
         r = sqrt_exact(x)
         if r is None and ambient is not None:
@@ -361,7 +335,7 @@ def pairs_over_one_radicand(values):
     is rational (then every y is 0); a value in another quadratic field
     raises RadicandMismatch.
     """
-    ref = next((v for v in values if isinstance(v, QuadExt) and v.b), None)
+    ref = next((v for v in values if isinstance(v, QuadExt)), None)
     if ref is None:
         return None, [(rat(v), 0) for v in values]
     return ref.d, [ref._coerce(v) if isinstance(v, QuadExt) else (rat(v), 0)
@@ -374,7 +348,6 @@ def sort_key(x):
     Orders map entries, invariants, roots and certificates deterministically;
     equal values get equal keys whatever their radicands.
     """
-    x = collapse(x)
     if isinstance(x, QuadExt):
         return (1,) + x._value_key()
     return (0, x)

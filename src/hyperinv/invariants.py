@@ -18,7 +18,7 @@ from .errors import (
     UnknownSignature,
     ZeroEndCoefficient,
 )
-from .exact import QuadExt, Rational, collapse, sort_key
+from .exact import QuadExt, Rational, sort_key
 from .poly import _coerce_coeff, det_bareiss
 from .record import frozen_record
 
@@ -237,7 +237,7 @@ def classify_genus2(u) -> GroupLabel:
     uu = _u_tuple(u)
     if len(uu) != 2:
         raise ValueError("genus-2 classification needs exactly (u1, u2)")
-    u1, u2 = (collapse(x) for x in uu)
+    u1, u2 = uu
     if not (isinstance(u1, Rational) and isinstance(u2, Rational)):
         raise ValueError("genus-2 classification is defined for rational invariants")
     if (u1, u2) in ((0, 0), (6750, 450)):
@@ -363,9 +363,7 @@ def invariants_of(curve) -> Classification:
 
     def _outcome(cert):
         b, M = even_model(even_curve, cert)
-        u = dihedral_from_even(b)
-        u = DihedralInvariants(tuple(collapse(x) for x in u.u), u.genus)
-        return cert, b, M, canonicalize_invariants(u)
+        return cert, b, M, canonicalize_invariants(dihedral_from_even(b))
 
     cert, b, M, u = min(map(_outcome, pool), key=lambda o: _certificate_key(o[0], o[3]))
 

@@ -14,23 +14,10 @@ a field of definition on the locus.
 
 from .curve import HyperellipticCurve
 from .errors import NotOnLocus, SingularModel, SingularOutput, ZeroLeading
-from .exact import QuadExt, Rational, collapse, rat
-from .invariants import DihedralInvariants, dihedral_from_even, locus_eval
+from .exact import rat
+from .invariants import DihedralInvariants, _u_tuple, dihedral_from_even, locus_eval
 from .poly import Poly, gcd
 from .record import frozen_record
-
-
-def _coerce(x):
-    if isinstance(x, (Rational, QuadExt)):
-        return x
-    return rat(x)
-
-
-def _as_invariants(u) -> DihedralInvariants:
-    if isinstance(u, DihedralInvariants):
-        return u
-    vals = tuple(_coerce(x) for x in u)
-    return DihedralInvariants(vals, len(vals))
 
 
 @frozen_record
@@ -68,7 +55,8 @@ def rational_model(u) -> RationalModelResult:
     cannot produce a valid curve; SingularOutput reports the repeated
     factor gcd(F, F').
     """
-    inv = _as_invariants(u)
+    uu = _u_tuple(u)
+    inv = DihedralInvariants(uu, len(uu))
     if inv[0] == 0:
         raise ZeroLeading("leading invariant u_1 is zero; no monic-degree model")
     minus, plus = locus_eval(inv)
@@ -98,7 +86,7 @@ def rational_model(u) -> RationalModelResult:
     # recomputed from the curve's own even coefficients, not from b
     got = dihedral_from_even(tuple(curve.F.coeff(2 * i) for i in range(len(b))))
     expected = inv.u if branch == "minus" else inv.u[:-1] + (-inv.u[-1],)
-    verified = all(collapse(x) == collapse(y) for x, y in zip(got.u, expected))
+    verified = got.u == expected
     return RationalModelResult(curve=curve, branch=branch, verified=verified)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd as igcd, lcm
 
 from .errors import DegreeTooSmall, IdentityMap, SingularModel, ZeroInput
-from .exact import QuadExt, Rational, _make, collapse, pairs_over_one_radicand, sqrt_in_field
+from .exact import QuadExt, Rational, _make, pairs_over_one_radicand, sqrt_in_field
 from .poly import Poly, _coerce_coeff, _zz_add, _zz_mul, _zz_strip
 
 
@@ -50,14 +50,14 @@ class MoebiusMap:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        entries = [collapse(_coerce_coeff(v)) for v in (a, b, c, d)]
+        entries = [_coerce_coeff(v) for v in (a, b, c, d)]
         if any(isinstance(v, Poly) for v in entries):
             raise TypeError("map entries must be exact scalars, not polynomials")
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if det == 0:
             raise SingularModel("zero determinant")
         lead = next(v for v in entries if v)
-        self.a, self.b, self.c, self.d = (collapse(v / lead) for v in entries)
+        self.a, self.b, self.c, self.d = (v / lead for v in entries)
 
     @classmethod
     def identity(cls):
@@ -77,11 +77,11 @@ class MoebiusMap:
         if x is INFINITY:
             if self.c == 0:
                 return INFINITY
-            return collapse(self.a / self.c)
+            return self.a / self.c
         den = self.c * x + self.d
         if den == 0:
             return INFINITY
-        return collapse((self.a * x + self.b) / den)
+        return (self.a * x + self.b) / den
 
     def __call__(self, x):
         return self.apply(x)
@@ -118,15 +118,15 @@ class MoebiusMap:
         if c == 0:
             if a == d:
                 return (INFINITY, INFINITY)
-            return (collapse(b / (d - a)), INFINITY)
+            return (b / (d - a), INFINITY)
         # roots of c X^2 + (d - a) X - b
-        disc = collapse((d - a) * (d - a) + 4 * b * c)
-        mid = collapse((a - d) / (2 * c))
+        disc = (d - a) * (d - a) + 4 * b * c
+        mid = (a - d) / (2 * c)
         ambient = next((v.d for v in self.entries() if isinstance(v, QuadExt)), None)
         root = sqrt_in_field(disc, ambient)
         if root is not None:
             half = root / (2 * c)
-            return (collapse(mid + half), collapse(mid - half))
+            return (mid + half, mid - half)
         if isinstance(disc, QuadExt) or isinstance(mid, QuadExt) or ambient is not None:
             raise ValueError("fixed points lie outside a quadratic extension")
         spread = 1 / (2 * c)
@@ -274,4 +274,4 @@ def is_automorphism(f: Poly, m: MoebiusMap, n: int):
         if x * p + rad * y * q != u * r + rad * v * s or x * q + y * p != u * s + v * r:
             return None
     gk = _field_values([r], [s], D, scale)[0]
-    return collapse(gk / f.coeffs[k])
+    return gk / f.coeffs[k]

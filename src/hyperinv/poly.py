@@ -670,12 +670,15 @@ def quad_irrational_roots(p: Poly):
     return out + quads
 
 
-def numeric_roots(p: Poly, tol: float = 1e-9):
+_NUMERIC_TOL = 1e-9
+
+
+def numeric_roots(p: Poly):
     """All complex roots in double precision, deterministically ordered.
 
     Thin wrapper over the kernel iteration: strips zero roots, normalizes
-    to monic, iterates, and checks residuals against tol scaled by the
-    largest coefficient magnitude.  Raises NonConvergence at the cap.
+    to monic, iterates, and checks residuals against _NUMERIC_TOL scaled by
+    the largest coefficient magnitude.  Raises NonConvergence at the cap.
     """
     if p.is_zero() or p.degree() < 1:
         raise ZeroInput("numeric_roots needs degree >= 1")
@@ -691,12 +694,12 @@ def numeric_roots(p: Poly, tol: float = 1e-9):
         monic = [c / lead for c in coeffs]
         monic[-1] = 1
         try:
-            found = durand_kerner(monic, tol, 200)
+            found = durand_kerner(monic, _NUMERIC_TOL, 200)
         except RuntimeError as exc:
             raise NonConvergence(str(exc)) from exc
         for r in found:
             residual = abs(p.eval_complex(r))
-            if residual > tol * scale:
+            if residual > _NUMERIC_TOL * scale:
                 raise NonConvergence(
                     f"residual {residual:.3e} above tolerance at root {r}")
         roots.extend(found)

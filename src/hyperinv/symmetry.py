@@ -28,7 +28,7 @@ from .errors import (
     ReconstructionInconclusive,
     SearchInconclusive,
 )
-from .exact import QuadExt, Rational, collapse, rat, sort_key
+from .exact import QuadExt, Rational, sort_key
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
 from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs  # noqa: F401
 from .poly import Poly, _zz_strip, gcd, quad_irrational_roots, resultant
@@ -97,7 +97,7 @@ def _fixes_branch(F: Poly, m: MoebiusMap) -> bool:
     a, b, c, d = m.entries()
     fix = [-b, d - a, c]
     N = Poly(fix) * Poly([v.conj() if isinstance(v, QuadExt) else v for v in fix])
-    return gcd(F, Poly([rat(v) for v in N.coeffs])).degree() >= 1
+    return gcd(F, N).degree() >= 1
 
 
 def _certificate(F: Poly, m: MoebiusMap, lam) -> InvolutionCertificate:
@@ -166,7 +166,7 @@ def _b_values(eqs, a0) -> list:
     """
     p0, p1 = (Poly(row).eval(a0) for row in eqs[0])
     if p1 != 0:
-        return [collapse(-p0 / p1)]
+        return [-p0 / p1]
     if p0 != 0:
         return []
     specialized = [Poly([Poly(row).eval(a0) for row in E]) for E in eqs[1:]]
@@ -285,7 +285,7 @@ def even_model(curve, inv: InvolutionCertificate):
     for i in range(1, n, 2):
         if G.coeff(i) != 0:
             raise OddTermResidue(f"odd coefficient X^{i} survived the reduction")
-    b = tuple(collapse(G.coeff(2 * i)) for i in range(n // 2 + 1))
+    b = tuple(G.coeff(2 * i) for i in range(n // 2 + 1))
     if b[0] == 0 or b[-1] == 0:
         raise OddTermResidue("even model has a vanishing end coefficient")
     return b, M

@@ -102,6 +102,25 @@ class TestInvariants:
         }
 
 
+class TestZeroRadicalPart:
+    """A {"a", "b", "d"} scalar with b = 0 is read as the rational a."""
+
+    @pytest.mark.parametrize("command", ["classify", "invariants", "normal-form"])
+    def test_same_report_as_rational_spelling(self, command, tmp_path, capsys):
+        reports = []
+        for const in ({"a": "1", "b": "0", "d": "2"}, "1"):
+            path = tmp_path / "curve.json"
+            doc = {"curve": {"coefficients": [const, "0", "0", "0", "0", "0", "1"]}}
+            path.write_text(json.dumps(doc))
+            assert cli.main([command, str(path)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            del rep["input_digest"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        if command == "classify":
+            assert reports[0]["result"]["group"] == "Z3⋊D8"
+
+
 class TestNormalForm:
     def test_rational_model_map(self, tmp_path):
         path = write_curve(tmp_path, [1, 0, 0, 4, 0, 0, 1])

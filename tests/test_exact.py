@@ -9,7 +9,6 @@ from hyperinv.errors import RadicandMismatch
 from hyperinv.exact import (
     QuadExt,
     Rational,
-    collapse,
     is_square,
     rat,
     scalar_to_complex,
@@ -29,6 +28,13 @@ class TestRat:
     def test_fraction_duck_typing(self):
         assert rat(Fraction(22, 7)) == Rational(22, 7)
         assert isinstance(rat(Fraction(22, 7)), Rational)
+
+    def test_numerator_denominator_duck_typing(self):
+        class Ratio:
+            numerator, denominator = 6, -4
+
+        q = rat(Ratio())
+        assert type(q) is Rational and q == Rational(-3, 2)
 
     def test_rational_quadext_collapses(self):
         q = QuadExt(Rational(5, 2), 0, 2)
@@ -76,6 +82,22 @@ class TestQuadExt:
             QuadExt(1, 1, 4)
         with pytest.raises(ValueError):
             QuadExt(1, 1, Rational(9, 25))
+
+    def test_zero_radical_part_is_rational(self):
+        x = QuadExt(4, 0, 3)
+        assert type(x) is Rational and x == 4
+        assert type(QuadExt("1/2", "0", Rational(8, 3))) is Rational
+        with pytest.raises(ValueError):
+            QuadExt(4, 0, 9)  # the radicand is still checked
+        with pytest.raises(ValueError):
+            QuadExt(4, 0, 0)
+        y = QuadExt(4, 1, 3)
+        assert type(y) is QuadExt and y.b != 0
+
+    def test_irrational_never_equals_rational(self):
+        x = QuadExt(2, 1, 3)
+        assert x != 2 and 2 != x and x != Rational(2) and Rational(2) != x
+        assert x.__eq__(Rational(2)) is NotImplemented
 
     def test_zero_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -181,15 +203,6 @@ class TestQuadExt:
     def test_str(self):
         assert str(QuadExt(1, 2, 5)) == "1 + 2*sqrt(5)"
         assert str(QuadExt(Rational(1, 2), 0, 5)) == "1/2"
-
-
-class TestCollapse:
-    def test_collapse(self):
-        assert collapse(QuadExt(4, 0, 3)) == 4
-        assert isinstance(collapse(QuadExt(4, 0, 3)), Rational)
-        x = QuadExt(4, 1, 3)
-        assert collapse(x) is x
-        assert collapse(Rational(2)) == 2
 
 
 class TestSqrtInField:

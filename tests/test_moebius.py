@@ -5,8 +5,8 @@ import random
 import pytest
 
 from hyperinv.curve import transform
-from hyperinv.errors import IdentityMap, RadicandMismatch, SingularModel
-from hyperinv.exact import QuadExt, collapse
+from hyperinv.errors import DegreeTooSmall, IdentityMap, RadicandMismatch, SingularModel, ZeroInput
+from hyperinv.exact import QuadExt
 from hyperinv.moebius import (
     INFINITY,
     MoebiusMap,
@@ -144,6 +144,14 @@ class TestPullback:
         g = pullback_form(f, MoebiusMap(0, 1, 1, 0), 6)
         assert g == Poly([3, 0, 0, 0, 0, 2, 1])
 
+    def test_zero_form_rejected(self):
+        with pytest.raises(ZeroInput):
+            pullback_coeffs(Poly(), 1, 0, 0, 1, 6)
+
+    def test_form_degree_below_polynomial_degree_rejected(self):
+        with pytest.raises(DegreeTooSmall):
+            pullback_coeffs(Poly([1, 0, 0, 1]), 1, 0, 0, 1, 2)
+
     def test_identity_pullback(self):
         f = Poly([1, 2, 3, 4, 5, 6, 7])
         assert pullback_form(f, MoebiusMap.identity(), 6) == f
@@ -188,7 +196,7 @@ def _reference_lam(f, m, n):
     k = next(i for i, c in enumerate(f.coeffs) if c)
     if not g.coeff(k):
         return None
-    lam = collapse(g.coeff(k) / f.coeffs[k])
+    lam = g.coeff(k) / f.coeffs[k]
     return lam if g == f.scale(lam) else None
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperinv.poly as poly_module
-from hyperinv.errors import ReconstructionInconclusive, ZeroInput
+from hyperinv.errors import BothZero, NonConvergence, ReconstructionInconclusive, ZeroInput
 from hyperinv.exact import QuadExt
 from hyperinv.poly import (
     Poly,
@@ -177,6 +177,10 @@ class TestIntegerModel:
 
 
 class TestGcd:
+    def test_both_zero_rejected(self):
+        with pytest.raises(BothZero):
+            gcd(Poly(), Poly())
+
     def test_common_factor_recovered(self):
         rng = random.Random(17)
         for _ in range(25):
@@ -361,6 +365,10 @@ _PRIMORIAL = prod(q for q in range(2, 200) if all(q % d for d in range(2, q)))
 
 
 class TestRationalRoots:
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ZeroInput):
+            rational_roots(Poly())
+
     def test_planted_roots_with_multiplicity(self):
         x = variable()
         p = (x - 2) ** 2 * (2 * x + 1) * (x**2 + 1)
@@ -440,6 +448,10 @@ class TestRationalRoots:
 
 
 class TestQuadIrrationalRoots:
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ZeroInput):
+            quad_irrational_roots(Poly())
+
     def test_planted_pairs(self):
         x = variable()
         p = (x**2 - 2) * (x**2 - 3) * (2 * x - 1)
@@ -528,6 +540,14 @@ class TestNumericRoots:
         roots = numeric_roots(p)
         zeros = [z for z in roots if z == 0]
         assert len(zeros) == 2
+
+    def test_kernel_failure_is_non_convergence(self, monkeypatch):
+        def stuck(coeffs, tol, max_iter):
+            raise RuntimeError(f"no convergence after {max_iter} iterations")
+
+        monkeypatch.setattr(poly_module, "durand_kerner", stuck)
+        with pytest.raises(NonConvergence, match="no convergence"):
+            numeric_roots(Poly([1, 0, 1]))
 
     def test_constant_rejected(self):
         with pytest.raises(ZeroInput):
