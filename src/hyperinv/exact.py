@@ -301,6 +301,11 @@ def _make(a, b, d):
     return x
 
 
+def conj(x):
+    """The Galois conjugate of an exact scalar; a Rational is its own."""
+    return x.conj() if isinstance(x, QuadExt) else x
+
+
 def sqrt_in_field(x, ambient=None):
     """Exact square root of x inside its own field, or None.
 

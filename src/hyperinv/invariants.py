@@ -297,15 +297,18 @@ class Classification:
         return iter((self.invariants, self.label))
 
 
-def _certificate_key(cert, u: DihedralInvariants):
-    # Field class of the fixed points (0 rational, 1 real quadratic, 2
-    # imaginary quadratic), then the conjugation-invariant u-tuple, and only
-    # then the map entries as a final deterministic tie-break.  Each part is
-    # compared by value, never by how a radicand is written, and costs
-    # polynomial time in the size of the certificate.
+def _field_class(cert) -> int:
+    """Field of the fixed points: 0 rational, 1 real quadratic, 2 imaginary quadratic."""
     radicands = [p.d for p in cert.fixed_points if isinstance(p, QuadExt)]
-    field_class = 0 if not radicands else (1 if radicands[0] > 0 else 2)
-    return (field_class, tuple(map(sort_key, u.u)),
+    return 0 if not radicands else (1 if radicands[0] > 0 else 2)
+
+
+def _certificate_key(cert, u: DihedralInvariants):
+    # Field class of the fixed points, then the conjugation-invariant
+    # u-tuple, and only then the map entries as a final deterministic
+    # tie-break.  Each part is compared by value, never by how a radicand
+    # is written, and costs polynomial time in the size of the certificate.
+    return (_field_class(cert), tuple(map(sort_key, u.u)),
             tuple(map(sort_key, cert.map.entries())))
 
 
@@ -365,6 +368,9 @@ def invariants_of(curve) -> Classification:
         b, M = even_model(even_curve, cert)
         return cert, b, M, canonicalize_invariants(dihedral_from_even(b))
 
+    # The field class leads _certificate_key, so only the least class can win.
+    least = min(map(_field_class, pool))
+    pool = [c for c in pool if _field_class(c) == least]
     cert, b, M, u = min(map(_outcome, pool), key=lambda o: _certificate_key(o[0], o[3]))
 
     if u.is_zero():

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd as igcd, lcm
 
 from .errors import DegreeTooSmall, IdentityMap, SingularModel, ZeroInput
-from .exact import QuadExt, Rational, _make, pairs_over_one_radicand, sqrt_in_field
+from .exact import QuadExt, Rational, _make, conj, pairs_over_one_radicand, sqrt_in_field
 from .poly import Poly, _coerce_coeff, _zz_add, _zz_mul, _zz_strip
 
 
@@ -95,6 +95,16 @@ class MoebiusMap:
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
+
+    def conj(self) -> "MoebiusMap":
+        """The Galois conjugate: each QuadExt entry replaced by its conjugate.
+
+        Conjugation keeps the rational lead entry 1 and every zero entry, so
+        the result is already in canonical scaling and skips __init__.
+        """
+        out = object.__new__(MoebiusMap)
+        out.a, out.b, out.c, out.d = map(conj, self.entries())
+        return out
 
     def order(self, bound: int):
         """Smallest k <= bound with self^k the identity, or None."""

@@ -10,7 +10,11 @@ b, and resultants against it collapse the system to a single univariate gcd
 in a whose rational and quadratic-irrational roots are certified.  Each
 such a then fixes b through that linear pivot, b = -p0(a)/p1(a); only at
 the one rational a where the pivot vanishes are the other equations
-solved for b.  Every candidate map is verified against F itself.
+solved for b.  The resolvent chain and the evaluations at each a run on
+int lists.  Every candidate map is verified against F itself, directly or
+as the Galois conjugate of a verified map: F is rational, so
+pullback(F, conj(m)) = conj(pullback(F, m)), and one map per conjugate
+pair is checked.
 
 Completeness is claimed only for parameters in Q or a quadratic extension;
 involutions needing higher-degree fields are intentionally not reported.
@@ -18,7 +22,6 @@ involutions needing higher-degree fields are intentionally not reported.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import comb, isqrt
 from typing import Optional, Tuple
 
@@ -28,10 +31,13 @@ from .errors import (
     ReconstructionInconclusive,
     SearchInconclusive,
 )
-from .exact import QuadExt, Rational, sort_key
+from .exact import (QuadExt, Rational, _make, conj, is_square, pairs_over_one_radicand,
+                    sort_key)
+from .moebius import INFINITY, MoebiusMap, _cleared, is_automorphism
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
-from .moebius import INFINITY, MoebiusMap, is_automorphism, pullback_coeffs  # noqa: F401
-from .poly import Poly, _zz_strip, gcd, quad_irrational_roots, resultant
+from .moebius import pullback_coeffs  # noqa: F401
+from .poly import (Poly, _zz_add, _zz_gcd, _zz_mul, _zz_primitive, _zz_quo, _zz_strip,
+                   gcd, quad_irrational_roots, resultant)
 from .record import frozen_record
 
 
@@ -89,15 +95,20 @@ def _fixes_branch(F: Poly, m: MoebiusMap) -> bool:
 
     Infinity is no branch point of the even model, so only the finite fixed
     points count: the roots of fix = cX^2 + (d - a)X - b, over Q or Q(sqrt(D)).
-    N = fix * conj(fix) is rational, and F shares a root with N exactly when
-    it shares one with fix: a root r of conj(fix) with F(r) = 0 gives the
-    root sigma(r) of fix with F(sigma(r)) = sigma(F(r)) = 0, sigma extending
-    the conjugation.
+    Written fix = U + sqrt(D)*V with U, V rational (V = 0 over Q), the norm
+    form N = fix * conj(fix) = U^2 - D*V^2 is rational, and it is formed on
+    int lists over the common denominator of fix's coefficients.  F shares
+    a root with N exactly when it shares one with fix: a root r of
+    conj(fix) with F(r) = 0 gives the root sigma(r) of fix with
+    F(sigma(r)) = sigma(F(r)) = 0, sigma extending the conjugation.
     """
     a, b, c, d = m.entries()
-    fix = [-b, d - a, c]
-    N = Poly(fix) * Poly([v.conj() if isinstance(v, QuadExt) else v for v in fix])
-    return gcd(F, N).degree() >= 1
+    D, pairs = pairs_over_one_radicand([-b, d - a, c])
+    ints, _ = _cleared(pairs)
+    U, V = _zz_strip([x for x, _ in ints]), _zz_strip([y for _, y in ints])
+    rad = 0 if D is None else int(D)
+    N = _zz_add(_zz_mul(U, U), [-rad * v for v in _zz_mul(V, V)])
+    return gcd(F, Poly(N)).degree() >= 1
 
 
 def _certificate(F: Poly, m: MoebiusMap, lam) -> InvolutionCertificate:
@@ -106,6 +117,27 @@ def _certificate(F: Poly, m: MoebiusMap, lam) -> InvolutionCertificate:
     except ValueError:
         fixed = None
     return InvolutionCertificate(m, lam, fixed, _fixes_branch(F, m))
+
+
+def _conjugate(cert: InvolutionCertificate) -> InvolutionCertificate:
+    """The certificate of cert.map.conj(), derived from cert without a check.
+
+    F is rational, so pullback(F, conj(m)) = conj(pullback(F, m)) =
+    conj(lam) * F, and the fixed points of conj(m) are the conjugates of
+    m's: they fix a branch point exactly when m's do, and lie in a
+    quadratic field exactly when m's do.  fixed_points() lists them in the
+    same order, except when the discriminant (d - a)^2 + 4bc is a rational
+    non-square: sqrt_in_field then gives both maps the same root
+    QuadExt(0, q, ambient), whose conjugate is its negative, so conj(m)'s
+    points come out as (conj(q), conj(p)).
+    """
+    m, fixed = cert.map, cert.fixed_points
+    if fixed is not None:
+        p, q = map(conj, fixed)
+        a, b, c, d = m.entries()
+        disc = (d - a) * (d - a) + 4 * b * c
+        fixed = (q, p) if isinstance(disc, Rational) and not is_square(disc) else (p, q)
+    return InvolutionCertificate(m.conj(), conj(cert.lam), fixed, cert.fixes_branch_points)
 
 
 def _involution_equations(f, n: int):
@@ -136,15 +168,30 @@ def _involution_equations(f, n: int):
     return eqs
 
 
-def _off_branch(D: Poly, F: Poly) -> Poly:
-    """D with every factor it shares with F divided out.
+def _off_branch(D, F):
+    """The integer model D with every factor it shares with F divided out.
 
     gamma = (aX + b)/(X - a) sends a to infinity, which is no branch point
-    of an even-degree model, so no root of F is a parameter a.
+    of an even-degree model, so no root of F is a parameter a.  D and F are
+    integer models; so is the result.
     """
-    while D.degree() >= 1 and (common := gcd(D, F)).degree() >= 1:
-        D = D / common
+    while len(D) > 1 and len(common := _zz_gcd(D, F)) > 1:
+        D = _zz_quo(D, common)
     return D
+
+
+def _homogeneous(row, x, y, L, K, rad):
+    """L^K * row((x + y*sqrt(rad))/L) as the int pair (u, v) = u + v*sqrt(rad).
+
+    row is an int list of degree at most K; y = 0 evaluates at x/L.
+    """
+    u = v = 0
+    power = 1
+    for i in range(K, -1, -1):
+        c = row[i] * power if i < len(row) else 0
+        u, v = u * x + rad * v * y + c, u * y + v * x
+        power *= L
+    return u, v
 
 
 def _b_values(eqs, a0) -> list:
@@ -163,18 +210,38 @@ def _b_values(eqs, a0) -> list:
       and f(a0) != 0 (_off_branch), so a0 = -f_(n-1)/(n*fn) is rational.
       Only here are the remaining equations specialised, at a rational a0,
       and the roots of their gcd over Q are the solutions.
+    a0 = (x + y*sqrt(D))/L is cleared to ints, p0 and p1 are evaluated
+    homogeneously over Z[sqrt(D)], and b0 is built once, over the norm of
+    p1(a0).  At the rational a0 = x/L each other equation becomes a
+    primitive int list in b through one power of L, and the gcd chain stops
+    as soon as the gcd is constant.
     """
-    p0, p1 = (Poly(row).eval(a0) for row in eqs[0])
-    if p1 != 0:
-        return [-p0 / p1]
-    if p0 != 0:
+    D, pairs = pairs_over_one_radicand([a0])
+    [(x, y)], L = _cleared(pairs)
+    rad = 0 if D is None else int(D)
+    p0, p1 = eqs[0]
+    K = max(len(p0), len(p1)) - 1
+    u0, v0 = _homogeneous(p0, x, y, L, K, rad)
+    u1, v1 = _homogeneous(p1, x, y, L, K, rad)
+    if u1 or v1:
+        # -(u0 + v0 sqrt(D)) / (u1 + v1 sqrt(D)), through the conjugate of the divisor
+        norm = u1 * u1 - rad * v1 * v1
+        re, im = Rational(rad * v0 * v1 - u0 * u1, norm), Rational(u0 * v1 - v0 * u1, norm)
+        return [re if D is None else _make(re, im, D)]
+    if u0 or v0 or D is not None:
+        return []  # p0(a0) != 0, the case above: both vanish only at a rational a0
+    g = None
+    for E in eqs[1:]:
+        q = _zz_strip([_homogeneous(row, x, 0, L, max(map(len, E)) - 1, 0)[0]
+                       for row in E])
+        if q:
+            g = _zz_primitive(q) if g is None else _zz_gcd(g, _zz_primitive(q))
+            if len(g) == 1:
+                return []
+    if g is None:
         return []
-    specialized = [Poly([Poly(row).eval(a0) for row in E]) for E in eqs[1:]]
-    specialized = [q for q in specialized if not q.is_zero()]
-    if not specialized:
-        return []
-    return _certified(reduce(gcd, specialized), f"b certification failed at the "
-                      f"rational a0 = {a0} where the pivot vanishes, on the gcd")
+    return _certified(Poly(g), f"b certification failed at the rational a0 = {a0} "
+                      f"where the pivot vanishes, on the gcd")
 
 
 def _certified(p: Poly, stage: str) -> list:
@@ -191,8 +258,10 @@ def detect_involutions(curve) -> list:
     """All reduced involutions with parameters in Q or a quadratic field.
 
     Requires an even-degree rational model (run to_even_degree first).
-    Every returned certificate has been re-verified exactly through
-    is_automorphism; the list is deterministically ordered.  Raises
+    Every returned certificate is verified exactly, through is_automorphism
+    directly or as the Galois conjugate of a map verified there: F is
+    rational, so pullback(F, conj(m)) = conj(pullback(F, m)).  The list is
+    deterministically ordered.  Raises
     SearchInconclusive when exact root certification fails (or elimination
     leaves no resolvent, which genus >= 2 rules out), in which case no
     silent undercount is possible.
@@ -209,6 +278,7 @@ def detect_involutions(curve) -> list:
     def record(m: MoebiusMap, lam):
         if m not in found:
             found[m] = _certificate(F, m, lam)
+        return found[m]
 
     # Case c = 0: gamma = -X + beta.  Matching the X^(n-1) coefficient of
     # F(-X + beta) = lam * F forces beta; everything else is verification.
@@ -221,15 +291,18 @@ def detect_involutions(curve) -> list:
 
     # Case c = 1: gamma = (aX + b)/(X - a); outer variable b, inner a.
     # The X^(n-1) equation, first in the list, is fn*F'(a)*b + p0(a) with
-    # F' != 0: the linear pivot of every resultant.  The resolvent D gives
-    # the candidates a0, and the pivot then reads off b0 (_b_values).
-    eqs = _involution_equations(F.integer_model()[0], n)
+    # F' != 0: the linear pivot of every resultant.  The resolvent D, an
+    # integer model, gives the candidates a0, and the pivot then reads off
+    # b0 (_b_values).
+    f = F.integer_model()[0]
+    eqs = _involution_equations(f, n)
     D = None
     for E in eqs[1:]:
-        r = Poly(E[0]) if len(E) == 1 else resultant(eqs[0], E)
-        if not r.is_zero():
-            D = r if D is None else _off_branch(gcd(D, r), F)
-            if D.degree() == 0:
+        r = E[0] if len(E) == 1 else [c.numerator for c in resultant(eqs[0], E).coeffs]
+        if r:
+            r = _zz_primitive(r)
+            D = r if D is None else _off_branch(_zz_gcd(D, r), f)
+            if len(D) == 1:
                 break
     if D is None:
         # unreachable: then b = -p0/p1 solves all for every a: infinitely many involutions
@@ -237,17 +310,24 @@ def detect_involutions(curve) -> list:
         raise SearchInconclusive(
             f"elimination: no nonzero resolvent at genus {curve.genus}; "
             f"equation degrees (in b, in a): {sizes}")
-    D = _off_branch(D, F)
-    if D.degree() >= 1:
-        a_candidates = _certified(D, "parameter certification failed on the resolvent")
+    D = _off_branch(D, f)
+    if len(D) > 1:
+        # One map per Galois orbit: of two conjugate a0, and of two
+        # conjugate b0 at a rational a0, only the one with positive radical
+        # part is verified; the certificate of the other comes from _conjugate.
+        a_candidates = _certified(Poly(D), "parameter certification failed on the resolvent")
         for a0 in dict.fromkeys(a_candidates):
-            for b0 in _b_values(eqs, a0):
-                if a0 * a0 + b0 == 0:
+            for b0 in dict.fromkeys(_b_values(eqs, a0)):
+                irr = a0 if isinstance(a0, QuadExt) else b0  # a QuadExt iff m is irrational
+                if isinstance(irr, QuadExt) and irr.b < 0 or a0 * a0 + b0 == 0:
                     continue
                 m = MoebiusMap(a0, b0, 1, -a0)
                 lam = is_automorphism(F, m, n)
                 if lam is not None:
-                    record(m, lam)
+                    cert = record(m, lam)
+                    if isinstance(irr, QuadExt):
+                        twin = _conjugate(cert)
+                        found[twin.map] = twin
     return _sorted_certs(found)
 
 

@@ -1,6 +1,8 @@
 """Involution search, even models, and automorphism order candidates."""
 
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,8 @@ from hyperinv.curve import to_even_degree, transform
 from hyperinv.errors import FixedBranchPoint, SearchInconclusive
 from hyperinv.exact import QuadExt
 from hyperinv.invariants import classify, dihedral_from_even, dihedral_from_normal
-from hyperinv.moebius import MoebiusMap, pullback_form
-from hyperinv.poly import Poly, variable
+from hyperinv.moebius import MoebiusMap, is_automorphism, pullback_form
+from hyperinv.poly import Poly, gcd, variable
 from hyperinv.symmetry import candidate_orders, detect_involutions, even_model
 
 from conftest import (
@@ -155,6 +157,70 @@ class TestPivotRead:
              1695778578, -385648928]
         assert len(detect_involutions(curve(f))) == 7
 
+    def test_certificates_match_direct_ones(self):
+        for f in ([622, -1350, 1179, -536, 135, -18, 1],
+                  [-728, -1446, -1155, -380, 105, 174, 63],
+                  [323420489, -428627862, -785034585, 2625318540, -3028546665,
+                   1695778578, -385648928]):
+            assert _direct_checked(curve(f))
+
+
+def _direct_checked(ec):
+    """detect_involutions(ec), each certificate checked against a direct one.
+
+    A certificate derived as the Galois conjugate of a verified one must
+    equal the certificate built from its own map: is_automorphism's factor,
+    fixed_points() in its order, and the fixes-branch flag.
+    """
+    n = 2 * ec.genus + 2
+    certs = detect_involutions(ec)
+    for cert in certs:
+        lam = is_automorphism(ec.F, cert.map, n)
+        assert lam is not None
+        assert cert == symmetry._certificate(ec.F, cert.map, lam)
+    return certs
+
+
+class TestGaloisOrbits:
+    # One map per pair of Galois conjugates is verified; the other
+    # certificate is derived from it (symmetry._conjugate).
+
+    def test_one_verified_map_per_conjugate_pair(self, monkeypatch):
+        checked = []
+
+        def spy(F, m, n):
+            checked.append(m)
+            return is_automorphism(F, m, n)
+
+        monkeypatch.setattr(symmetry, "is_automorphism", spy)
+        # X^6 - 1 moved by (2X + 1)/(X + 3): four certificates over Q(sqrt -3)
+        certs = detect_involutions(curve([-728, -1446, -1155, -380, 105, 174, 63]))
+        irrational = [t.map for t in certs
+                      if any(isinstance(e, QuadExt) for e in t.map.entries())]
+        assert len(irrational) == 4
+        assert sum(m in checked for m in irrational) == 2
+        assert all((m in checked) != (m.conj() in checked) for m in irrational)
+
+    @pytest.mark.parametrize("f", [
+        # D12 sextic moved by a random map: one derived certificate whose
+        # discriminant is a rational non-square, so its points swap
+        [622, -396, -2574, 5080, -2574, -396, 622],
+        # one derived certificate whose discriminant is the rational square
+        # 16: no swap
+        [384, 0, 288, 0, 168, 0, -2],
+    ])
+    def test_fixed_points_in_the_order_of_the_map(self, f):
+        certs = detect_involutions(curve(f))
+        assert any(isinstance(e, QuadExt) for t in certs for e in t.map.entries())
+        for cert in certs:
+            assert cert.fixed_points == cert.map.fixed_points()
+
+    def test_conjugate_map_keeps_canonical_scaling(self):
+        m = MoebiusMap(QuadExt(1, 2, 3), Fraction(5, 7), 1, QuadExt(-1, -2, 3))
+        c = m.conj()
+        assert c == MoebiusMap(QuadExt(1, -2, 3), Fraction(5, 7), 1, QuadExt(-1, 2, 3))
+        assert c.conj() == m
+
 
 def _refuse_field_gcd(p, q):
     raise AssertionError("Euclid over Q(sqrt d) was called")
@@ -226,7 +292,7 @@ _BASES = {
 
 def _search_and_invariants(c):
     ec, _ = to_even_degree(c)
-    return len(detect_involutions(ec)), classify(c).invariants
+    return len(_direct_checked(ec)), classify(c).invariants
 
 
 _ENTRY = st.integers(-3000, 3000)
@@ -287,6 +353,61 @@ def _nested_equations(f, n):
     return out
 
 
+def _reference_b_values(eqs, a0):
+    """The b values at a0 by Poly(row).eval: Fraction or QuadExt Horner.
+
+    The earlier symmetry._b_values, kept as the reference for the one on
+    int lists: the pivot p1*b + p0 read at a0, and where both vanish the
+    other equations specialised at a0 and their gcd taken over Q.
+    """
+    p0, p1 = (Poly(row).eval(a0) for row in eqs[0])
+    if p1 != 0:
+        return [-p0 / p1]
+    if p0 != 0:
+        return []
+    specialized = [Poly([Poly(row).eval(a0) for row in E]) for E in eqs[1:]]
+    specialized = [q for q in specialized if not q.is_zero()]
+    if not specialized:
+        return []
+    return symmetry._certified(reduce(gcd, specialized), "reference")
+
+
+def _random_quadratic(rng):
+    a = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+    b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 9))
+    return QuadExt(a, b, rng.choice([-7, -3, -1, 2, 5, 12, Fraction(3, 5)]))
+
+
+class TestBValues:
+    @staticmethod
+    def same(f, a0):
+        eqs = symmetry._involution_equations(f, len(f) - 1)
+        got, want = symmetry._b_values(eqs, a0), _reference_b_values(eqs, a0)
+        assert repr(got) == repr(want), (f, a0)
+        return got
+
+    def test_match_reference_on_random_models(self):
+        rng = random.Random(61)
+        for _ in range(10):
+            for g in (2, 3, 4):
+                f = _random_even_model(rng, g)
+                for a0 in (Fraction(rng.randint(-50, 50), rng.randint(1, 12)),
+                           _random_quadratic(rng)):
+                    assert len(self.same(f, a0)) == 1
+
+    def test_match_reference_where_the_pivot_vanishes(self):
+        # (X - 3)^6 + 4(X - 3)^3 + 1: p1(3) = p0(3) = 0; b = -8 and a
+        # conjugate pair over Q(sqrt -3)
+        b = self.same([622, -1350, 1179, -536, 135, -18, 1], Fraction(3))
+        assert b[0] == -8 and b[1] == b[2].conj() and b[1].d == -3
+        # X^6 + X^3 + 2 at a0 = 0: b^3 = 2 has no root of degree <= 2
+        assert self.same([2, 0, 0, 1, 0, 0, 1], Fraction(0)) == []
+
+    def test_irrational_root_of_the_pivot_lead_gives_nothing(self):
+        # X^6 - 3X^4 + 1: f'(sqrt 2) = 0 != f(sqrt 2), so p1 = 0 != p0 there
+        assert self.same([1, 0, 0, 0, -3, 0, 1], QuadExt(0, 1, 2)) == []
+
+
 class TestInvolutionEquations:
     def test_match_nested_pullback(self):
         rng = random.Random(53)
@@ -311,9 +432,9 @@ class TestInvolutionEquations:
                 assert Poly(pivot[0]) == p0
 
     def test_branch_point_factors_leave_the_candidates(self):
-        x = variable()
-        D = (x - 1) ** 2 * (x + 1) * (2 * x - 5)
-        assert symmetry._off_branch(D, x**6 - 1) == 2 * x - 5
+        # integer models: (X - 1)^2 (X + 1) (2X - 5) against X^6 - 1
+        D = [-5, 7, 3, -7, 2]
+        assert symmetry._off_branch(D, [-1, 0, 0, 0, 0, 0, 1]) == [-5, 2]
 
     def test_certification_failure_names_the_resolvent(self, monkeypatch):
         import mpmath
