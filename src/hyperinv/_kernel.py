@@ -1,10 +1,15 @@
-"""The numeric oracle's simultaneous root iteration.
+"""Double-precision simultaneous root iteration.
+
+It finds the numeric oracle's branch points, and it gives the certified
+high-precision refinement in poly._certified_roots its starting points.
 
 BACKEND and available_backends() name the one pure-Python kernel; the
 benchmark harness reads both into its run metadata.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 BACKEND = "python"
 
@@ -18,7 +23,9 @@ def durand_kerner(coeffs, tol=1e-9, max_iter=200):
     """All complex roots of a monic polynomial by simultaneous iteration.
 
     coeffs -- ascending complex coefficients, last entry 1, nonzero constant
-    term (strip zero roots first).  Raises RuntimeError at the iteration cap.
+    term (strip zero roots first).  Raises RuntimeError at the iteration cap
+    or as soon as an iterate overflows: a NaN step never exceeds the
+    tolerance, so it would otherwise pass for convergence.
     """
     n = len(coeffs) - 1
     if n < 1:
@@ -48,7 +55,10 @@ def durand_kerner(coeffs, tol=1e-9, max_iter=200):
                 continue
             delta = val / den
             roots[k] = r - delta
-            step = abs(delta) / max(1.0, abs(roots[k]))
+            size = abs(roots[k])  # inf or NaN unless both parts are finite
+            if not isfinite(size):
+                raise RuntimeError(f"iterate {roots[k]} is not finite")
+            step = abs(delta) / max(1.0, size)
             if step > biggest:
                 biggest = step
         if biggest <= tol:

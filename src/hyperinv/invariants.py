@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 from .errors import (
     ExcludedLocusPoint,
     SearchInconclusive,
+    ToleranceAmbiguity,
     UnknownSignature,
     ZeroEndCoefficient,
 )
@@ -397,7 +398,10 @@ def classify(curve) -> Classification:
     invariants are rational, otherwise V4 with a lift flag read off the
     locus factors.  Curves with no detected involution fall back to the
     numeric oracle at genus 2 (the cyclic Z10 special case) or report Z2
-    with candidate orders attached.
+    with candidate orders attached.  The oracle's reduced order 5 stands
+    only where the exact Igusa-Clebsch I2 vanishes, as it does at the Z10
+    point (0:0:0:1); elsewhere it is a near-miss within tolerance and
+    raises ToleranceAmbiguity.
     """
     res = invariants_of(curve)
     g = curve.genus
@@ -408,6 +412,13 @@ def classify(curve) -> Classification:
             from .oracle import label_from_signature, reduced_group
 
             grp = reduced_group(curve, 1e-9)
+            if grp.order == 5:
+                a = [curve.F.coeff(i) for i in range(7)]  # a6 = 0 on a quintic
+                i2 = 6 * a[3] ** 2 - 16 * a[2] * a[4] + 40 * a[1] * a[5] - 240 * a[0] * a[6]
+                if i2 != 0:
+                    raise ToleranceAmbiguity(
+                        "genus-2 oracle fallback: reduced order 5 found within "
+                        f"tolerance, but the exact Igusa-Clebsch I2 = {i2} is nonzero")
             try:
                 label = label_from_signature(2, grp)
             except UnknownSignature:

@@ -592,9 +592,18 @@ def _certified_roots(ints):
 
     Returns (roots, err_bound) as mpmath values; precision is chosen so the
     error bound allows exact rational reconstruction with denominators up to
-    the leading coefficient.
+    the leading coefficient.  The iteration starts from the kernel's
+    double-precision roots, or from mpmath's own default points when the
+    kernel fails.  The start only saves steps: convergence, the error bound
+    and everything derived from the roots are checked as if it were absent.
     """
     import mpmath
+
+    try:
+        monic = [c / ints[-1] for c in ints[:-1]] + [1]  # OverflowError past float range
+        seed = [mpmath.mpc(z) for z in durand_kerner(monic, _NUMERIC_TOL, 200)]
+    except (RuntimeError, OverflowError):
+        seed = None
 
     lead = abs(ints[-1])
     cauchy = 1 + max(abs(c) for c in ints) // lead
@@ -613,7 +622,7 @@ def _certified_roots(ints):
                 # step budget.
                 roots, err = mpmath.polyroots(
                     coeffs_desc, maxsteps=100 * (attempt + 1),
-                    extraprec=50 * 4 ** attempt, error=True)
+                    extraprec=50 * 4 ** attempt, error=True, roots_init=seed)
             except mpmath.libmp.NoConvergence as exc:
                 last_exc = exc
                 continue
@@ -678,7 +687,8 @@ def numeric_roots(p: Poly):
 
     Thin wrapper over the kernel iteration: strips zero roots, normalizes
     to monic, iterates, and checks residuals against _NUMERIC_TOL scaled by
-    the largest coefficient magnitude.  Raises NonConvergence at the cap.
+    the largest coefficient magnitude.  Raises NonConvergence when the
+    kernel fails or a residual is above tolerance or not finite.
     """
     if p.is_zero() or p.degree() < 1:
         raise ZeroInput("numeric_roots needs degree >= 1")
@@ -699,9 +709,10 @@ def numeric_roots(p: Poly):
             raise NonConvergence(str(exc)) from exc
         for r in found:
             residual = abs(p.eval_complex(r))
-            if residual > _NUMERIC_TOL * scale:
+            # an overflowed evaluation gives NaN, which fails every comparison
+            if not residual <= _NUMERIC_TOL * scale:
                 raise NonConvergence(
-                    f"residual {residual:.3e} above tolerance at root {r}")
+                    f"residual {residual:.3e} not within tolerance at root {r}")
         roots.extend(found)
     roots.sort(key=lambda z: (abs(z), atan2(z.imag, z.real)))
     return roots

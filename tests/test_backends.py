@@ -1,10 +1,13 @@
 """The root-iteration kernel: its contract and the names the harness reads.
 
-hyperinv._kernel holds the numeric oracle's simultaneous root iteration.
+hyperinv._kernel holds the double-precision simultaneous root iteration
+behind the numeric oracle and the seed of the certified refinement.
 It also names the one pure-Python kernel, which perfbench's worker records
 in its run metadata and whose solver perfbench's spans wrap as
 hyperinv.poly.durand_kerner.
 """
+
+import random
 
 import pytest
 
@@ -45,3 +48,20 @@ class TestRootIteration:
         coeffs = [720.0, -1764.0, 1624.0, -735.0, 175.0, -21.0, 1.0]
         with pytest.raises(RuntimeError, match="no convergence after 1 iterations"):
             durand_kerner(coeffs, max_iter=1)
+
+    def test_overflowing_iterate_raises(self):
+        # X^6 + 10^60 X^5 + 1 overflows within a few sweeps
+        with pytest.raises(RuntimeError, match="not finite"):
+            durand_kerner([1.0, 0.0, 0.0, 0.0, 0.0, 1e60, 1.0])
+
+    def test_finiteness_check_leaves_finite_runs_unchanged(self, monkeypatch):
+        rng = random.Random(7)
+        cases = [[float(rng.randint(-9, 9)) for _ in range(n)] + [1.0] for n in range(2, 17)]
+        cases += [[complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)] + [1.0]
+                  for n in range(2, 17)]
+        expected = [durand_kerner(c) for c in cases]
+        monkeypatch.setattr(_kernel, "isfinite", lambda z: True)
+        assert [durand_kerner(c) for c in cases] == expected
+        # unchecked, a NaN step never exceeds the tolerance: NaN roots "converge"
+        roots = durand_kerner([1.0, 0.0, 0.0, 0.0, 0.0, 1e60, 1.0])
+        assert all(r != r for r in roots)

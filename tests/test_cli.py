@@ -79,6 +79,16 @@ class TestClassify:
         assert "excluded-locus-point" in rep["flags"]
         assert "error" in rep["result"]
 
+    @pytest.mark.parametrize("k, flag", [(10, "tolerance-ambiguity"), (15, "tolerance-ambiguity"),
+                                         (55, "non-convergence"), (60, "non-convergence")])
+    def test_far_branch_point_is_inconclusive(self, tmp_path, k, flag):
+        # X^6 + 10^k X^5 + 1: the oracle fallback once read Z10 for k = 10, 15
+        # and converted NaN roots (exit 1) for k >= 55
+        path = write_curve(tmp_path, [1, 0, 0, 0, 0, 10**k, 1])
+        proc = run_cli("classify", str(path))
+        assert proc.returncode == 2
+        assert flag in report_of(proc)["flags"]
+
     def test_no_involution_z2_with_candidates(self, tmp_path):
         path = write_curve(tmp_path, [1, 1, 0, 0, 0, 0, 0, 0, 1])
         proc = run_cli("classify", str(path))

@@ -11,6 +11,7 @@ from hyperinv.errors import (
     ExcludedLocusPoint,
     HyperinvError,
     SearchInconclusive,
+    ToleranceAmbiguity,
     ZeroEndCoefficient,
 )
 from hyperinv.exact import QuadExt
@@ -311,6 +312,17 @@ class TestClassifyIntegration:
         assert r.label.name == "Z10"
         assert r.invariants is None
         assert "no-involution-found" in r.flags
+
+    def test_z10_fallback_needs_exact_i2_zero(self):
+        # 1 + X^5 and its moved copy have I2 = 0, as the Z10 point must
+        assert classify(curve([1, 0, 0, 0, 0, 1])).label.name == "Z10"
+        moved = transform(curve(SEXTIC_MINUS_X), MoebiusMap(2, 1, 1, 3))[0]
+        assert classify(moved).label.name == "Z10"
+        # X^6 + 10^k X^5 + 1 lies near infinity, where the oracle's tolerance
+        # admits an approximate Z5, but I2 = -240 there
+        for k in (10, 15):
+            with pytest.raises(ToleranceAmbiguity, match=r"fallback.*I2 = -240 is nonzero"):
+                classify(curve([1, 0, 0, 0, 0, 10**k, 1]))
 
     def test_genus3_no_involution_reports_candidates(self):
         c = curve([1, 1, 0, 0, 0, 0, 0, 0, 1])  # X^8 + X + 1

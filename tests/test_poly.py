@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import isnan, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperinv.poly as poly_module
+from hyperinv.curve import new_curve, to_even_degree, transform
 from hyperinv.errors import BothZero, NonConvergence, ReconstructionInconclusive, ZeroInput
 from hyperinv.exact import QuadExt
+from hyperinv.moebius import MoebiusMap
 from hyperinv.poly import (
     Poly,
     constant,
@@ -524,6 +526,134 @@ class TestQuadIrrationalRoots:
         assert roots == [Rational(5)]
 
 
+def _search_inputs(curves):
+    """Every polynomial the involution search hands to quad_irrational_roots."""
+    import hyperinv.symmetry as symmetry
+
+    seen, real = [], symmetry.quad_irrational_roots
+
+    def spy(p):
+        seen.append(p)
+        return real(p)
+
+    symmetry.quad_irrational_roots = spy
+    try:
+        for c in curves:
+            symmetry.detect_involutions(to_even_degree(c)[0])
+    finally:
+        symmetry.quad_irrational_roots = real
+    return seen
+
+
+def _random_products(rng, count, spreads):
+    """Integer polynomials of degree 2..16, products of factors of degree 1..3.
+
+    Each factor's constant term is scaled by up to 10^spread, so the roots
+    span many magnitudes and the double-precision kernel often fails.  The
+    degree is the lesser of two draws: high degrees stay in, but rarer, as
+    the cold start costs most there.
+    """
+    out = []
+    for _ in range(count):
+        f, target, spread = Poly([1]), min(rng.randint(2, 16), rng.randint(2, 16)), rng.choice(spreads)
+        while f.degree() < target:
+            k = min(rng.choice([1, 2, 2, 3]), target - f.degree())
+            c0 = (rng.randint(-9, 9) or 1) * 10 ** rng.randint(0, spread)
+            f = f * Poly([c0] + [rng.randint(-9, 9) for _ in range(k - 1)] + [rng.randint(1, 9)])
+        out.append(f)
+    return out
+
+
+def _close_root_products(rng, count):
+    """(q X^2 - p)(q X^2 - p - e), e <= 3: root pairs about e/q apart, some times a quadratic."""
+    out = []
+    for i in range(count):
+        q = rng.randint(10**5, 10**9)
+        p = rng.randint(2, 9) * q + rng.randint(1, 5)
+        f = Poly([-p, 0, q]) * Poly([-p - rng.randint(1, 3), 0, q])
+        if i % 2:
+            f = f * Poly([rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9)])
+        out.append(f)
+    return out
+
+
+class TestSeededRefinement:
+    """_certified_roots starts mpmath from the kernel's roots: nothing may move.
+
+    The cold start (kernel forced to fail, so mpmath starts from its own
+    default points) is the reference; every answer must match it by repr.
+    """
+
+    @staticmethod
+    def _answers(polys):
+        return [repr(quad_irrational_roots(p)) for p in polys]
+
+    def _check(self, monkeypatch, polys):
+        seeded = self._answers(polys)
+
+        def cold(*args):
+            raise RuntimeError("kernel off")
+
+        monkeypatch.setattr(poly_module, "durand_kerner", cold)
+        assert self._answers(polys) == seeded
+
+    def test_search_cofactor_shapes(self, monkeypatch):
+        # the quintic and the D12 sextic moved by integer maps (coordchange's
+        # inputs) and X^6 + 5X^3 + P^3 (bigcoeff's)
+        rng = random.Random(4040)
+        curves = []
+        for base in ([0, -1, 0, 0, 0, 1], [1, 0, 0, 4, 0, 0, 1]):
+            maps = []
+            while len(maps) < 6:
+                m = [rng.randint(-5, 5) for _ in range(4)]
+                if m[0] * m[3] != m[1] * m[2]:
+                    maps.append(MoebiusMap(*m))
+            curves += [transform(new_curve(base), m)[0] for m in maps]
+        curves += [new_curve([P**3, 0, 0, 5, 0, 0, 1]) for P in (1234, 98765, 10**9 + 7)]
+        polys = _search_inputs(curves)
+        assert max(p.degree() for p in polys) >= 6
+        self._check(monkeypatch, polys)
+
+    def test_random_products_and_magnitude_spreads(self, monkeypatch):
+        polys = _random_products(random.Random(20261019), 300, (0, 0, 0, 12, 20))
+        kernel, failures = poly_module.durand_kerner, []
+
+        def counting(*args):
+            try:
+                return kernel(*args)
+            except RuntimeError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(poly_module, "durand_kerner", counting)
+        self._check(monkeypatch, polys)
+        assert len(failures) >= 10  # mpmath's own start is exercised too
+
+    def test_close_root_pairs(self, monkeypatch):
+        self._check(monkeypatch, _close_root_products(random.Random(99), 40))
+
+    @pytest.mark.parametrize("failure", [None, RuntimeError, OverflowError])
+    def test_kernel_roots_start_polyroots(self, monkeypatch, failure):
+        import mpmath
+
+        starts, real = [], mpmath.polyroots
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs["roots_init"])
+            return real(*args, **kwargs)
+
+        def failing(*args):
+            raise failure("kernel failed")
+
+        monkeypatch.setattr(mpmath, "polyroots", spy)
+        if failure:
+            monkeypatch.setattr(poly_module, "durand_kerner", failing)
+        x = variable()
+        assert len(quad_irrational_roots((x**2 - 2) * (x**2 + x + 3))) == 4
+        # a failed kernel leaves mpmath its own default start
+        assert [s if s is None else len(s) for s in starts] == [None if failure else 4]
+
+
 class TestNumericRoots:
     def test_ordering_and_residuals(self):
         x = variable()
@@ -548,6 +678,14 @@ class TestNumericRoots:
         monkeypatch.setattr(poly_module, "durand_kerner", stuck)
         with pytest.raises(NonConvergence, match="no convergence"):
             numeric_roots(Poly([1, 0, 1]))
+
+    def test_non_finite_residual_is_non_convergence(self, monkeypatch):
+        # X^3 + 1 at 1e200 (1 + i) overflows to NaN, which is never above a tolerance
+        far = complex(1e200, 1e200)
+        monkeypatch.setattr(poly_module, "durand_kerner", lambda coeffs, tol, max_iter: [far] * 3)
+        assert isnan(abs(Poly([1, 0, 0, 1]).eval_complex(far)))
+        with pytest.raises(NonConvergence, match="nan not within tolerance"):
+            numeric_roots(Poly([1, 0, 0, 1]))
 
     def test_constant_rejected(self):
         with pytest.raises(ZeroInput):
