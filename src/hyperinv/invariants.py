@@ -3,9 +3,12 @@
 The normal form X^(2g+2) + a_g X^(2g) + ... + a_1 X^2 + 1 of a curve with
 an extra involution is unique only up to a dihedral coefficient action;
 the u-tuple defined here is constant on those orbits and serves as the
-moduli coordinate for the locus of such curves.  All evaluation is exact
-and generic over the scalar ring, so the same formulas run on Rational,
-QuadExt, and nested Poly inputs (the latter for symbolic identities).
+moduli coordinate for the locus of such curves.  All evaluation is exact.
+Apart from dihedral_from_even, the formulas are generic over the scalar
+ring, so they run on Rational, QuadExt, and nested Poly inputs (the latter
+for symbolic identities).  dihedral_from_even takes an even model over Q or
+one quadratic field Q(sqrt(D)) and computes on its integer pairs over
+Z[sqrt(D)].
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .errors import (
     UnknownSignature,
     ZeroEndCoefficient,
 )
-from .exact import QuadExt, Rational, sort_key
+from .exact import QuadExt, Rational, _make, pairs_over_one_radicand, sort_key
+from .moebius import MoebiusMap, _cleared
 from .poly import _coerce_coeff, det_bareiss
 from .record import frozen_record
 
@@ -93,30 +97,57 @@ def dihedral_from_normal(a) -> DihedralInvariants:
     return DihedralInvariants(tuple(u), g)
 
 
+def _pair_mul(u, v, rad):
+    """Product of x + y*sqrt(rad) values given as int pairs (x, y)."""
+    (ux, uy), (vx, vy) = u, v
+    return ux * vx + rad * uy * vy, ux * vy + uy * vx
+
+
+def _pair_powers(x, k, rad):
+    """[x^0, x^1, ..., x^k] for an int pair x over Z[sqrt(rad)]."""
+    out = [(1, 0)]
+    for _ in range(k):
+        out.append(_pair_mul(out[-1], x, rad))
+    return out
+
+
 def dihedral_from_even(b) -> DihedralInvariants:
     """Invariants straight from an even model Y^2 = sum b_i X^(2i).
 
     Equivalent to normalizing to b_0 = b_(g+1) = 1 first, but without the
     (2g+2)-th root that normalization would require:
 
-        u_i = b_1^m b_i / (b_(g+1) b_0^m) + b_g^m b_(g-i+1) / (b_(g+1)^m b_0)
+        u_i = (b_1^m b_i b_(g+1)^(m-1) + b_g^m b_(g-i+1) b_0^(m-1)) / (b_(g+1)^m b_0^m)
 
-    with m = g-i+1.  Requires b_0 and b_(g+1) nonzero.
+    with m = g-i+1.  Requires b_0 and b_(g+1) nonzero.  The b_i lie in Q or
+    in one field Q(sqrt(D)); u_i has degree 0 in b, so b is cleared once to
+    int pairs (x, y) = x + y*sqrt(D) over one common denominator, both sides
+    of each quotient are formed over Z[sqrt(D)], and each u_i is one
+    division, through the norm of its denominator.
     """
-    b = tuple(_coerce_coeff(x) for x in b)
+    b = tuple(b)
     g = len(b) - 2
     if g < 2:
         raise ValueError("need at least four coefficients (genus >= 2)")
-    b0, btop = b[0], b[g + 1]
-    if b0 == 0 or btop == 0:
+    D, pairs = pairs_over_one_radicand(b)
+    ints, _ = _cleared(pairs)
+    b0, b1, bg, btop = (tuple(ints[i]) for i in (0, 1, g, g + 1))
+    if b0 == (0, 0) or btop == (0, 0):
         raise ZeroEndCoefficient("even model must have nonzero end coefficients")
-    b1, bg = b[1], b[g]
+    rad = 0 if D is None else int(D)
+    b1_pow, bg_pow = _pair_powers(b1, g, rad), _pair_powers(bg, g, rad)
+    top_pow, b0_pow = _pair_powers(btop, g, rad), _pair_powers(b0, g, rad)
     u = []
     for i in range(1, g + 1):
         m = g - i + 1
-        first = _pow(b1, m) * b[i] / (btop * _pow(b0, m))
-        second = _pow(bg, m) * b[g - i + 1] / (_pow(btop, m) * b0)
-        u.append(first + second)
+        first = _pair_mul(_pair_mul(b1_pow[m], ints[i], rad), top_pow[m - 1], rad)
+        second = _pair_mul(_pair_mul(bg_pow[m], ints[g - i + 1], rad), b0_pow[m - 1], rad)
+        nx, ny = first[0] + second[0], first[1] + second[1]
+        qx, qy = _pair_mul(top_pow[m], b0_pow[m], rad)
+        # (nx + ny sqrt(D)) / (qx + qy sqrt(D)), through the conjugate of the divisor
+        norm = qx * qx - rad * qy * qy
+        re = Rational(nx * qx - rad * ny * qy, norm)
+        u.append(re if D is None else _make(re, Rational(ny * qx - nx * qy, norm), D))
     return DihedralInvariants(tuple(u), g)
 
 
@@ -360,8 +391,6 @@ def invariants_of(curve) -> Classification:
     pool = usable
     F = curve.F
     if curve.even_degree and all(F.coeff(i) == 0 for i in range(1, F.degree(), 2)):
-        from .moebius import MoebiusMap
-
         neg = MoebiusMap(-1, 0, 0, 1)
         pool = [c for c in usable if c.map == neg] or usable
 

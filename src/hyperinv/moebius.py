@@ -3,7 +3,8 @@
 Maps act on the projective line over an exact scalar field: points are
 Rational or QuadExt values, with a single INFINITY sentinel.  Matrices are
 kept in a canonical projective scaling (first nonzero entry equal to 1), so
-equality and hashing are plain componentwise checks.
+equality and hashing are plain componentwise checks.  The scaling inverts
+the lead entry once and multiplies, and is skipped when the lead is 1.
 
 Pullbacks run on Python ints.  The form and the map entries lie in Q or in
 one field Q(sqrt(D)); a value x + y*sqrt(D) is the pair (x, y), and a
@@ -56,8 +57,18 @@ class MoebiusMap:
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if det == 0:
             raise SingularModel("zero determinant")
-        lead = next(v for v in entries if v)
-        self.a, self.b, self.c, self.d = (v / lead for v in entries)
+        self.a, self.b, self.c, self.d = _canonical(entries)
+
+    @classmethod
+    def _unchecked(cls, a, b, c, d) -> "MoebiusMap":
+        """The map of exact scalar entries whose determinant is known nonzero.
+
+        Skips __init__'s coercion and determinant test, for callers that
+        have already established both; the scaling is the same.
+        """
+        out = object.__new__(cls)
+        out.a, out.b, out.c, out.d = _canonical((a, b, c, d))
+        return out
 
     @classmethod
     def identity(cls):
@@ -94,7 +105,8 @@ class MoebiusMap:
                           c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+        # the adjugate has the same nonzero determinant
+        return MoebiusMap._unchecked(self.d, -self.b, -self.c, self.a)
 
     def conj(self) -> "MoebiusMap":
         """The Galois conjugate: each QuadExt entry replaced by its conjugate.
@@ -180,6 +192,15 @@ class MoebiusMap:
         if " " in den or "*" in den:
             den = f"({den})"
         return f"X -> {num}/{den}"
+
+
+def _canonical(entries):
+    """entries over the first nonzero one: one inversion, none when that is 1."""
+    lead = next(v for v in entries if v)
+    if lead == 1:
+        return entries
+    inv = 1 / lead
+    return [v * inv for v in entries]
 
 
 def _cleared(pairs):

@@ -36,8 +36,10 @@ from .exact import (QuadExt, Rational, _make, conj, is_square, pairs_over_one_ra
 from .moebius import INFINITY, MoebiusMap, _cleared, is_automorphism
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
 from .moebius import pullback_coeffs  # noqa: F401
+# gcd stays importable from here: perfbench/spans.py wraps this name
+from .poly import gcd  # noqa: F401
 from .poly import (Poly, _zz_add, _zz_gcd, _zz_mul, _zz_primitive, _zz_quo, _zz_strip,
-                   gcd, quad_irrational_roots, resultant)
+                   quad_irrational_roots, resultant)
 from .record import frozen_record
 
 
@@ -90,7 +92,7 @@ def candidate_orders(g: int) -> CandidateOrders:
     return CandidateOrders(g, tuple(sorted(out)))
 
 
-def _fixes_branch(F: Poly, m: MoebiusMap) -> bool:
+def _fixes_branch(f, m: MoebiusMap) -> bool:
     """Whether m fixes a branch point of Y^2 = F, F the rational even model.
 
     Infinity is no branch point of the even model, so only the finite fixed
@@ -100,7 +102,8 @@ def _fixes_branch(F: Poly, m: MoebiusMap) -> bool:
     int lists over the common denominator of fix's coefficients.  F shares
     a root with N exactly when it shares one with fix: a root r of
     conj(fix) with F(r) = 0 gives the root sigma(r) of fix with
-    F(sigma(r)) = sigma(F(r)) = 0, sigma extending the conjugation.
+    F(sigma(r)) = sigma(F(r)) = 0, sigma extending the conjugation.  The
+    gcd is taken on int lists, against F's integer model f.
     """
     a, b, c, d = m.entries()
     D, pairs = pairs_over_one_radicand([-b, d - a, c])
@@ -108,15 +111,16 @@ def _fixes_branch(F: Poly, m: MoebiusMap) -> bool:
     U, V = _zz_strip([x for x, _ in ints]), _zz_strip([y for _, y in ints])
     rad = 0 if D is None else int(D)
     N = _zz_add(_zz_mul(U, U), [-rad * v for v in _zz_mul(V, V)])
-    return gcd(F, Poly(N)).degree() >= 1
+    return len(_zz_gcd(f, _zz_primitive(N))) > 1
 
 
-def _certificate(F: Poly, m: MoebiusMap, lam) -> InvolutionCertificate:
+def _certificate(f, m: MoebiusMap, lam) -> InvolutionCertificate:
+    """The certificate of the verified map m, f the integer model of F."""
     try:
         fixed = m.fixed_points()
     except ValueError:
         fixed = None
-    return InvolutionCertificate(m, lam, fixed, _fixes_branch(F, m))
+    return InvolutionCertificate(m, lam, fixed, _fixes_branch(f, m))
 
 
 def _conjugate(cert: InvolutionCertificate) -> InvolutionCertificate:
@@ -274,10 +278,11 @@ def detect_involutions(curve) -> list:
         raise ValueError("involution search needs a rational model")
 
     found = {}
+    f = F.integer_model()[0]
 
     def record(m: MoebiusMap, lam):
         if m not in found:
-            found[m] = _certificate(F, m, lam)
+            found[m] = _certificate(f, m, lam)
         return found[m]
 
     # Case c = 0: gamma = -X + beta.  Matching the X^(n-1) coefficient of
@@ -294,7 +299,6 @@ def detect_involutions(curve) -> list:
     # F' != 0: the linear pivot of every resultant.  The resolvent D, an
     # integer model, gives the candidates a0, and the pivot then reads off
     # b0 (_b_values).
-    f = F.integer_model()[0]
     eqs = _involution_equations(f, n)
     D = None
     for E in eqs[1:]:
@@ -321,7 +325,7 @@ def detect_involutions(curve) -> list:
                 irr = a0 if isinstance(a0, QuadExt) else b0  # a QuadExt iff m is irrational
                 if isinstance(irr, QuadExt) and irr.b < 0 or a0 * a0 + b0 == 0:
                     continue
-                m = MoebiusMap(a0, b0, 1, -a0)
+                m = MoebiusMap._unchecked(a0, b0, Rational(1), -a0)  # det -(a0^2 + b0)
                 lam = is_automorphism(F, m, n)
                 if lam is not None:
                     cert = record(m, lam)

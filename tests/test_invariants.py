@@ -2,11 +2,13 @@
 
 import random
 import signal
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from hyperinv.curve import transform
+from hyperinv.curve import to_even_degree, transform
 from hyperinv.errors import (
     ExcludedLocusPoint,
     HyperinvError,
@@ -30,10 +32,10 @@ from hyperinv.invariants import (
     scale_action,
     swap_action,
 )
-from hyperinv.poly import Poly, variable
+from hyperinv.poly import Poly, _coerce_coeff, variable
 from hyperinv.exact import Rational
 from hyperinv.moebius import MoebiusMap
-from hyperinv.symmetry import even_model
+from hyperinv.symmetry import detect_involutions, even_model
 
 from conftest import (
     CUBIC_MIDDLE,
@@ -99,12 +101,122 @@ class TestDihedralFromEven:
         a_norm = (Rational(2), Rational(3))  # after X-scaling to make ends 1
         got = dihedral_from_even(b)
         assert got.genus == 2
+        assert got.u == dihedral_from_normal(a_norm).u == (35, 12)
 
     def test_zero_end_rejected(self):
         with pytest.raises(ZeroEndCoefficient):
             dihedral_from_even((0, 1, 1, 1))
         with pytest.raises(ZeroEndCoefficient):
             dihedral_from_even((1, 1, 1, 0))
+        with pytest.raises(ZeroEndCoefficient):
+            dihedral_from_even((0, QuadExt(1, 1, 2), 1, QuadExt(0, 3, 2)))
+        with pytest.raises(ZeroEndCoefficient):
+            dihedral_from_even((QuadExt(2, -1, -1), 0, 0, 0, Rational(0)))
+
+
+def _reference_dihedral_from_even(b):
+    """The field formula dihedral_from_even evaluated before it cleared b to ints.
+
+        u_i = b_1^m b_i / (b_(g+1) b_0^m) + b_g^m b_(g-i+1) / (b_(g+1)^m b_0)
+    """
+    b = tuple(_coerce_coeff(x) for x in b)
+    g = len(b) - 2
+    b0, btop, b1, bg = b[0], b[g + 1], b[1], b[g]
+    u = []
+    for i in range(1, g + 1):
+        m = g - i + 1
+        first = b1**m * b[i] / (btop * b0**m)
+        second = bg**m * b[g - i + 1] / (btop**m * b0)
+        u.append(first + second)
+    return DihedralInvariants(tuple(u), g)
+
+
+def _even_models(coeffs):
+    """The even model of every usable involution certificate of a curve."""
+    c, _ = to_even_degree(curve(coeffs))
+    return [even_model(c, t)[0] for t in detect_involutions(c)
+            if not t.fixes_branch_points and t.fixed_points is not None]
+
+
+def _orbit_product(rng, orbits):
+    """Integer F whose roots come in orbits {t, -1/t}: X -> -1/X fixes +-sqrt(-1)."""
+    ts = set()
+    while len(ts) < orbits:
+        t = Rational(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
+        ts.add(t)
+    F = Poly([1])
+    for t in ts:
+        p, q = t.numerator, t.denominator
+        F = F * Poly([-p * q, q * q - p * p, p * q])  # (qX - p)(pX + q)
+    return [int(v) for v in F.coeffs]
+
+
+def _random_scalar(rng, radicand, zero_chance=0.0):
+    if rng.random() < zero_chance:
+        return Rational(0)
+    while True:
+        x = Rational(rng.randint(-40, 40), rng.randint(1, 9))
+        y = Rational(rng.randint(-9, 9), rng.randint(1, 5))
+        if radicand is not None and rng.random() < 0.7:
+            v = QuadExt(x, y, radicand)
+        else:
+            v = x
+        if v != 0:
+            return v
+
+
+class TestIntegerDihedralFromEven:
+    # dihedral_from_even clears b to int pairs over Z[sqrt D] and divides
+    # once per u_i; it must give the field formula's values, by repr
+
+    @staticmethod
+    def same(b):
+        assert repr(dihedral_from_even(b)) == repr(_reference_dihedral_from_even(b)), b
+
+    def test_corpus_even_models(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        models = [b for name in ("coordchange", "bigcoeff")
+                  for item in workloads.WORKLOADS[name]().items
+                  for b in _even_models(item["input"])]
+        assert len(models) > 140
+        assert any(isinstance(v, QuadExt) for b in models for v in b)
+        for b in models:
+            self.same(b)
+
+    def test_imaginary_even_models(self):
+        # products of orbits {t, -1/t}: their even models lie over Q(sqrt -1)
+        b = classify(curve([24, 140, -126, -595, 126, 140, -24])).model_coeffs
+        assert {v.d for v in b} == {-1}
+        self.same(b)
+        rng = random.Random(61)
+        imaginary = 0
+        for _ in range(40):
+            coeffs = _orbit_product(rng, rng.choice([3, 3, 4]))
+            try:
+                models = _even_models(coeffs)
+            except HyperinvError:
+                continue  # a repeated root
+            for b in models:
+                imaginary += any(isinstance(v, QuadExt) and v.d < 0 for v in b)
+                self.same(b)
+        assert imaginary >= 20
+
+    def test_random_even_models(self):
+        rng = random.Random(67)
+        for radicand in (None, 2, 5, 13, -1, -3, -7):
+            for _ in range(40):
+                g = rng.randint(2, 5)
+                b = ([_random_scalar(rng, radicand)]
+                     + [_random_scalar(rng, radicand, zero_chance=0.3) for _ in range(g)]
+                     + [_random_scalar(rng, radicand)])
+                if rng.random() < 0.5:
+                    b[0], b[-1] = -b[0], -b[-1]
+                self.same(tuple(b))
+        self.same((-2, 0, 7, 0, 3))  # plain ints
 
 
 class TestActions:

@@ -45,6 +45,85 @@ class TestConstruction:
         assert MoebiusMap(1, 0, 0, 2) != MoebiusMap(1, 0, 0, 3)
 
 
+def _reference_scaled(entries):
+    """Every entry divided by the first nonzero one, as __init__ once did."""
+    lead = next(v for v in entries if v)
+    return "MoebiusMap(%r, %r, %r, %r)" % tuple(v / lead for v in entries)
+
+
+class TestCanonicalScaling:
+    # one inversion of the lead entry, skipped when the lead is 1, must give
+    # the entries that dividing each of them by the lead gave
+
+    @staticmethod
+    def _entry_sets(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            radicand = rng.choice((None, 2, -1, -3, 5))
+            a, b, c, d = (TestIntegerPullback._scalar(rng, radicand) for _ in range(4))
+            kind = rng.randrange(4)
+            if kind == 1:
+                a = Rational(0)  # the lead sits in position b
+            elif kind == 2:
+                a = -abs(Rational(rng.randint(1, 9), rng.randint(1, 9)))  # negative lead
+            elif kind == 3:
+                a = Rational(1)  # no inversion
+            yield a, b, c, d
+
+    def test_init_matches_division_by_the_lead(self):
+        built = 0
+        for entries in self._entry_sets(83):
+            try:
+                m = MoebiusMap(*entries)
+            except SingularModel:
+                continue
+            assert repr(m) == _reference_scaled(entries)
+            built += 1
+        assert built > 250
+
+    def test_irrational_and_negative_leads(self):
+        for entries in [(QuadExt(1, 2, 3), Rational(5, 7), 1, QuadExt(-1, -2, 3)),
+                        (QuadExt(-2, -1, -1), 0, 3, QuadExt(0, 1, -1)),
+                        (0, QuadExt(0, -1, 2), 1, 4),
+                        (0, Rational(-3, 4), 2, 5),
+                        (Rational(-2), 1, 0, Rational(-1, 2))]:
+            assert repr(MoebiusMap(*entries)) == _reference_scaled(
+                [Rational(v) if isinstance(v, int) else v for v in entries])
+
+    def test_inverse_matches_division_by_the_lead(self):
+        for entries in self._entry_sets(89):
+            try:
+                m = MoebiusMap(*entries)
+            except SingularModel:
+                continue
+            assert repr(m.inverse()) == _reference_scaled((m.d, -m.b, -m.c, m.a))
+            assert m.compose(m.inverse()).is_identity()
+
+    def test_candidate_builder_matches_division_by_the_lead(self):
+        # detect_involutions builds (a0, b0, 1, -a0) once a0^2 + b0 != 0 is known
+        rng = random.Random(97)
+        built = 0
+        for _ in range(300):
+            radicand = rng.choice((None, 2, -1, -3, 5))
+            a0 = Rational(0) if rng.random() < 0.25 else TestIntegerPullback._scalar(rng, radicand)
+            b0 = TestIntegerPullback._scalar(rng, radicand)
+            if a0 * a0 + b0 == 0:
+                continue
+            entries = (a0, b0, Rational(1), -a0)
+            m = MoebiusMap._unchecked(*entries)
+            assert repr(m) == _reference_scaled(entries) == repr(MoebiusMap(*entries))
+            built += 1
+        assert built > 250
+
+    def test_singular_still_raised(self):
+        with pytest.raises(SingularModel):
+            MoebiusMap(QuadExt(1, 1, 2), QuadExt(3, 1, 2), QuadExt(1, 1, 2), QuadExt(3, 1, 2))
+        with pytest.raises(SingularModel):
+            MoebiusMap(0, 5, 0, Rational(7, 3))
+        with pytest.raises(SingularModel):
+            MoebiusMap(1, QuadExt(0, 1, 2), QuadExt(0, 1, 2), 2)
+
+
 class TestAction:
     def test_apply(self):
         m = MoebiusMap(1, 1, 1, -1)  # (x+1)/(x-1)

@@ -177,7 +177,7 @@ def _direct_checked(ec):
     for cert in certs:
         lam = is_automorphism(ec.F, cert.map, n)
         assert lam is not None
-        assert cert == symmetry._certificate(ec.F, cert.map, lam)
+        assert cert == symmetry._certificate(ec.F.integer_model()[0], cert.map, lam)
     return certs
 
 
@@ -230,6 +230,10 @@ def _refuse_eval(self, x):
     raise AssertionError("F was evaluated at a fixed point")
 
 
+def _certificate_of(F, m):
+    return symmetry._certificate(F.integer_model()[0], m, 1)
+
+
 class TestFixesBranch:
     # Whether a certificate fixes a branch point is decided over Q by one
     # test, gcd(F, fix * conj(fix)) for the fixed-point quadratic fix, for
@@ -258,17 +262,17 @@ class TestFixesBranch:
         # X -> 4/X fixes 2 (listed first) and -2; only -2 is a root here
         m = MoebiusMap(0, 4, 1, 0)
         assert m.fixed_points() == (2, -2)
-        assert symmetry._certificate((x + 2) * (x**5 + 7), m, 1).fixes_branch_points
-        assert not symmetry._certificate((x + 3) * (x**5 + 7), m, 1).fixes_branch_points
+        assert _certificate_of((x + 2) * (x**5 + 7), m).fixes_branch_points
+        assert not _certificate_of((x + 3) * (x**5 + 7), m).fixes_branch_points
         # X -> -X + 4 fixes 2 and infinity, no branch point of the even model
         m = MoebiusMap(-1, 4, 0, 1)
-        assert symmetry._certificate((x - 2) * (x**5 + 7), m, 1).fixes_branch_points
-        assert not symmetry._certificate((x - 3) * (x**5 + 7), m, 1).fixes_branch_points
+        assert _certificate_of((x - 2) * (x**5 + 7), m).fixes_branch_points
+        assert not _certificate_of((x - 3) * (x**5 + 7), m).fixes_branch_points
         # X -> -(X + 2)/(2X + 1) fixes the roots of X^2 + X + 1, in Q(sqrt -3)
         m = MoebiusMap(-1, -2, 2, 1)
         assert all(isinstance(p, QuadExt) and p.d == -3 for p in m.fixed_points())
-        assert symmetry._certificate((x**2 + x + 1) * (x**4 + 7), m, 1).fixes_branch_points
-        assert not symmetry._certificate((x**2 + x + 2) * (x**4 + 7), m, 1).fixes_branch_points
+        assert _certificate_of((x**2 + x + 1) * (x**4 + 7), m).fixes_branch_points
+        assert not _certificate_of((x**2 + x + 2) * (x**4 + 7), m).fixes_branch_points
 
     def test_quartic_fixed_points_decided_over_q(self, monkeypatch):
         monkeypatch.setattr(poly_module, "_field_gcd", _refuse_field_gcd)
@@ -278,9 +282,9 @@ class TestFixesBranch:
         x = variable()
         on = (x**4 - 2) * (x**2 + 5)
         off = (x**4 - 3) * (x**2 + 5)
-        assert symmetry._certificate(on, m, 1).fixes_branch_points
-        assert symmetry._certificate(on, m, 1).fixed_points is None
-        assert not symmetry._certificate(off, m, 1).fixes_branch_points
+        assert _certificate_of(on, m).fixes_branch_points
+        assert _certificate_of(on, m).fixed_points is None
+        assert not _certificate_of(off, m).fixes_branch_points
 
 
 _BASES = {
