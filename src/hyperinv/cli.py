@@ -30,7 +30,7 @@ from .errors import (
     UnknownSignature,
 )
 from .exact import QuadExt, rat
-from .invariants import classify, invariants_of
+from .invariants import classify, igusa_clebsch, invariants_of
 from .moduli import rational_model
 from .moebius import MoebiusMap, is_automorphism
 from .oracle import label_from_signature, reduced_group
@@ -141,6 +141,8 @@ def cmd_classify(args, ctx):
     }
     if res.candidate_orders:
         result["candidate_orders"] = list(res.candidate_orders)
+    if curve.genus == 2:
+        result["igusa_clebsch"] = [str(v) for v in igusa_clebsch(curve)]
     return result, flags
 
 

@@ -13,18 +13,13 @@ Z[sqrt(D)].
 
 from __future__ import annotations
 
+from math import comb, factorial, perm
 from typing import Optional, Tuple
 
-from .errors import (
-    ExcludedLocusPoint,
-    SearchInconclusive,
-    ToleranceAmbiguity,
-    UnknownSignature,
-    ZeroEndCoefficient,
-)
+from .errors import ExcludedLocusPoint, SearchInconclusive, ZeroEndCoefficient
 from .exact import QuadExt, Rational, _make, pairs_over_one_radicand, sort_key
 from .moebius import MoebiusMap, _cleared
-from .poly import _coerce_coeff, det_bareiss
+from .poly import _coerce_coeff, _zz_mul, det_bareiss
 from .record import frozen_record
 
 
@@ -253,6 +248,26 @@ def _genus2_label(name: str) -> GroupLabel:
     return GroupLabel(name, _GENUS2_ORDERS[name])
 
 
+def _no_certificate_label(curve, count: int) -> str:
+    """Genus-2 group of a curve whose reduced involutions all avoid quadratic fields.
+
+    count is their number over Q-bar.  A Galois-stable involution lies in
+    PGL2(Q) (Hilbert 90) and would have been found, so V4 (count 1), D8
+    (count 3, one of them distinguished) and Z3⋊D8 (count 7, one central)
+    cannot occur.  Count 3 is then D12 and count 9 GL2(3).  Count 0 leaves
+    Z10, the one moduli point I2 = I4 = I6 = 0 (Igusa 1960), and Z2.
+    """
+    if count == 0:
+        return "Z10" if igusa_clebsch(curve)[:3] == (0, 0, 0) else "Z2"
+    if count == 3:
+        return "D12"
+    if count == 9:
+        return "GL2(3)"
+    raise SearchInconclusive(
+        f"genus 2: {count} reduced involutions over Q-bar, none over Q or a "
+        "quadratic field, fit no automorphism group")
+
+
 def classify_genus2(u) -> GroupLabel:
     """Automorphism group of a genus-2 curve with an extra involution.
 
@@ -287,6 +302,62 @@ def classify_genus2(u) -> GroupLabel:
     return _genus2_label("V4")
 
 
+def _transvectant(f, g, k: int):
+    """The k-th transvectant (f, g)_k of two binary forms.
+
+    A form of degree d is (c, den) with c = [c_0, ..., c_d] ints and
+    c_i / den the coefficient of x^i z^(d-i).  The result, of degree
+    deg f + deg g - 2k, is
+    (d_f - k)! (d_g - k)! / (d_f! d_g!) * sum_j (-1)^j C(k, j) f_(x^(k-j) z^j) g_(x^j z^(k-j)),
+    with the factorials kept in its denominator.
+    """
+    (fc, fden), (gc, gden) = f, g
+    m, n = len(fc) - 1, len(gc) - 1
+
+    def partial(c, d, p, q):  # d^(p+q) / dx^p dz^q of sum c_i x^i z^(d-i)
+        return [c[i] * perm(i, p) * perm(d - i, q) for i in range(p, d - q + 1)]
+
+    out = [0] * (m + n - 2 * k + 1)
+    for j in range(k + 1):
+        sign = -comb(k, j) if j % 2 else comb(k, j)
+        for i, c in enumerate(_zz_mul(partial(fc, m, k - j, j), partial(gc, n, j, k - j))):
+            out[i] += sign * c
+    den = fden * gden * factorial(m) * factorial(n) // (factorial(m - k) * factorial(n - k))
+    return out, den
+
+
+def igusa_clebsch(curve) -> Tuple[int, int, int, int]:
+    """Igusa-Clebsch invariants (I2, I4, I6, I10) of a genus-2 curve.
+
+    Computed on F's integer model f, read as a binary sextic (a quintic has
+    a zero x^6 coefficient), from the Clebsch invariants A, B, C, D:
+    i = (f, f)_4, Delta = (i, i)_2, y1 = (f, i)_4, y2 = (i, y1)_2,
+    y3 = (i, y2)_2, A = (f, f)_6, B = (i, i)_4, C = (i, Delta)_4 and
+    D = (y3, y1)_2, combined as in Mestre (1991, Construction de courbes de
+    genre 2 a partir de leurs modules).  They are integers, I2 =
+    6a3^2 - 16a2a4 + 40a1a5 - 240a0a6 and I10 is the discriminant of f,
+    so X^6 - X and X^5 - 1 both give (0, 0, 0, 3125).  A change of
+    coordinates multiplies I_k by r^k for one r, so the weighted projective
+    point (I2 : I4 : I6 : I10) depends only on the curve; Z10 is the point
+    (0 : 0 : 0 : 1).
+    """
+    if curve.genus != 2:
+        raise ValueError("Igusa-Clebsch invariants are defined at genus 2")
+    ints, _ = curve.F.integer_model()
+    f = (ints + [0] * (7 - len(ints)), 1)
+    i = _transvectant(f, f, 4)
+    delta = _transvectant(i, i, 2)
+    y1 = _transvectant(f, i, 4)
+    y3 = _transvectant(i, _transvectant(i, y1, 2), 2)
+    A, B, C, D = (Rational(c[0], den) for c, den in (
+        _transvectant(f, f, 6), _transvectant(i, i, 4),
+        _transvectant(i, delta, 4), _transvectant(y3, y1, 2)))
+    I10 = (-62208 * A**5 + 972000 * A**3 * B + 1620000 * A**2 * C
+           - 3037500 * A * B**2 - 6075000 * B * C - 4556250 * D)
+    return tuple(int(v) for v in (
+        -120 * A, -720 * A**2 + 6750 * B, 8640 * A**3 - 108000 * A * B + 202500 * C, I10))
+
+
 def canonicalize_invariants(u: DihedralInvariants) -> DihedralInvariants:
     """Resolve the u_g sign ambiguity of odd-genus plus-locus tuples.
 
@@ -313,7 +384,10 @@ class Classification:
     Iterating yields (invariants, label) so callers can unpack the pair.
     The remaining fields expose the evidence: every involution certificate
     found, the even model actually used, the locus factor values, and any
-    candidate automorphism orders attached when no involution exists.
+    candidate automorphism orders attached when no involution exists.  At
+    genus 2 with no certificate, involutions_over_qbar is the number of
+    reduced involutions over Q-bar, none of which lies over Q or a
+    quadratic field; elsewhere it is None.
     """
 
     invariants: Optional[DihedralInvariants]
@@ -324,6 +398,7 @@ class Classification:
     model_coeffs: Optional[Tuple] = None
     model_map: Optional[object] = None
     candidate_orders: Optional[Tuple[int, ...]] = None
+    involutions_over_qbar: Optional[int] = None
 
     def __iter__(self):
         return iter((self.invariants, self.label))
@@ -352,7 +427,8 @@ def invariants_of(curve) -> Classification:
     certificate -> dihedral invariants -> locus factors.  The returned
     Classification has label None; curves with no detected involution get
     invariants None, a flag, and (for g >= 3) the candidate orders of
-    larger cyclic reduced symmetries.
+    larger cyclic reduced symmetries, or (for g = 2) the number of reduced
+    involutions over Q-bar.
     """
     from .curve import to_even_degree
     from .symmetry import candidate_orders, detect_involutions, even_model
@@ -364,13 +440,13 @@ def invariants_of(curve) -> Classification:
 
     if not certs:
         flags.append("no-involution-found")
-        orders = candidate_orders(g).orders if g >= 3 else None
         return Classification(
             None,
             None,
             tuple(flags),
             certificates=(),
-            candidate_orders=orders,
+            candidate_orders=candidate_orders(g).orders if g >= 3 else None,
+            involutions_over_qbar=certs.involutions_over_qbar if g == 2 else None,
         )
 
     usable = [
@@ -425,42 +501,25 @@ def classify(curve) -> Classification:
 
     Labels the invariants_of pipeline output: the genus-2 table when the
     invariants are rational, otherwise V4 with a lift flag read off the
-    locus factors.  Curves with no detected involution fall back to the
-    numeric oracle at genus 2 (the cyclic Z10 special case) or report Z2
-    with candidate orders attached.  The oracle's reduced order 5 stands
-    only where the exact Igusa-Clebsch I2 vanishes, as it does at the Z10
-    point (0:0:0:1); elsewhere it is a near-miss within tolerance and
-    raises ToleranceAmbiguity.
+    locus factors.  A genus-2 curve with no certificate is named by its
+    number of reduced involutions over Q-bar (_no_certificate_label); at
+    higher genus such a curve reports Z2 with candidate orders attached.
     """
     res = invariants_of(curve)
     g = curve.genus
-    flags = list(res.flags)
 
     if res.invariants is None:
         if g == 2:
-            from .oracle import label_from_signature, reduced_group
-
-            grp = reduced_group(curve, 1e-9)
-            if grp.order == 5:
-                a = [curve.F.coeff(i) for i in range(7)]  # a6 = 0 on a quintic
-                i2 = 6 * a[3] ** 2 - 16 * a[2] * a[4] + 40 * a[1] * a[5] - 240 * a[0] * a[6]
-                if i2 != 0:
-                    raise ToleranceAmbiguity(
-                        "genus-2 oracle fallback: reduced order 5 found within "
-                        f"tolerance, but the exact Igusa-Clebsch I2 = {i2} is nonzero")
-            try:
-                label = label_from_signature(2, grp)
-            except UnknownSignature:
-                flags.append("unknown-signature")
-                label = GroupLabel("flagged-other", grp.order)
+            label = _genus2_label(_no_certificate_label(curve, res.involutions_over_qbar))
         else:
             label = GroupLabel("Z2", 1)
         return Classification(
             None,
             label,
-            tuple(flags),
+            res.flags,
             certificates=(),
             candidate_orders=res.candidate_orders,
+            involutions_over_qbar=res.involutions_over_qbar,
         )
 
     u = res.invariants
@@ -481,7 +540,7 @@ def classify(curve) -> Classification:
     return Classification(
         u,
         label,
-        tuple(flags),
+        res.flags,
         locus=res.locus,
         certificates=res.certificates,
         model_coeffs=res.model_coeffs,

@@ -38,8 +38,8 @@ from .moebius import INFINITY, MoebiusMap, _cleared, is_automorphism
 from .moebius import pullback_coeffs  # noqa: F401
 # gcd stays importable from here: perfbench/spans.py wraps this name
 from .poly import gcd  # noqa: F401
-from .poly import (Poly, _zz_add, _zz_gcd, _zz_mul, _zz_primitive, _zz_quo, _zz_strip,
-                   quad_irrational_roots, resultant)
+from .poly import (Poly, _square_free_model, _zz_add, _zz_gcd, _zz_mul, _zz_primitive,
+                   _zz_quo, _zz_strip, quad_irrational_roots, resultant)
 from .record import frozen_record
 
 
@@ -216,9 +216,8 @@ def _b_values(eqs, a0) -> list:
       and the roots of their gcd over Q are the solutions.
     a0 = (x + y*sqrt(D))/L is cleared to ints, p0 and p1 are evaluated
     homogeneously over Z[sqrt(D)], and b0 is built once, over the norm of
-    p1(a0).  At the rational a0 = x/L each other equation becomes a
-    primitive int list in b through one power of L, and the gcd chain stops
-    as soon as the gcd is constant.
+    p1(a0).  At the rational a0 = x/L the other equations go through
+    _pivot_gcd.
     """
     D, pairs = pairs_over_one_radicand([a0])
     [(x, y)], L = _cleared(pairs)
@@ -234,6 +233,20 @@ def _b_values(eqs, a0) -> list:
         return [re if D is None else _make(re, im, D)]
     if u0 or v0 or D is not None:
         return []  # p0(a0) != 0, the case above: both vanish only at a rational a0
+    g = _pivot_gcd(eqs, x, L)
+    if g is None or len(g) == 1:
+        return []
+    return _certified(Poly(g), f"b certification failed at the rational a0 = {a0} "
+                      f"where the pivot vanishes, on the gcd")
+
+
+def _pivot_gcd(eqs, x: int, L: int):
+    """gcd over Q in b of the equations after the pivot, at the rational a = x/L.
+
+    Each equation becomes a primitive int list in b through one power of L;
+    the result is an integer model, None when every equation vanishes, and
+    the chain stops as soon as the gcd is constant.
+    """
     g = None
     for E in eqs[1:]:
         q = _zz_strip([_homogeneous(row, x, 0, L, max(map(len, E)) - 1, 0)[0]
@@ -241,11 +254,62 @@ def _b_values(eqs, a0) -> list:
         if q:
             g = _zz_primitive(q) if g is None else _zz_gcd(g, _zz_primitive(q))
             if len(g) == 1:
-                return []
-    if g is None:
-        return []
-    return _certified(Poly(g), f"b certification failed at the rational a0 = {a0} "
-                      f"where the pivot vanishes, on the gcd")
+                break
+    return g
+
+
+def _count_over_qbar(f, eqs, D, c0: bool) -> int:
+    """Number of reduced involutions over Q-bar, read off the search's own data.
+
+    f is F's integer model of degree n, eqs the c = 1 equations, D the
+    resolvent with every factor shared with f divided out, and c0 whether
+    the c = 0 map is an automorphism.  Every involution with c != 0 is
+    (aX + b)/(X - a) with a a root of D, and a solution (a0, b0) of all the
+    equations is one: it gives G = (f(a0)/fn)*f with f(a0) != 0, and it is
+    never singular, since a0^2 + b0 = 0 would give G = f(a0)*(X - a0)^n,
+    which is no multiple of the square-free f.  By _b_values' three cases:
+    - each root a0 with p1(a0) != 0 gives exactly one: these are the roots
+      of D's square-free part less its common roots with p1;
+    - a root with p1(a0) = 0 != p0(a0) gives none;
+    - at the rational a0 = -f_(n-1)/(n*fn), if p1 and p0 both vanish
+      there, each root of the other equations' gcd in b gives one.
+    Each count is the degree of a square-free int list, so nothing is
+    solved and no floating point is used.
+    """
+    count = int(c0)
+    if len(D) == 1:
+        return count
+    p1 = eqs[0][1]
+    rest = _square_free_model(D)
+    count += len(rest) - len(_zz_gcd(rest, _zz_primitive(p1)))
+    n = len(f) - 1
+    a0 = Rational(-f[n - 1], n * f[n])
+    x, L = a0.numerator, a0.denominator
+    # n*fn*a0 + f_(n-1) = 0 leaves p0(a0) = a0^2 * p1(a0): both vanish where p1 does
+    if _homogeneous(p1, x, 0, L, len(p1) - 1, 0)[0] == 0:
+        g = _pivot_gcd(eqs, x, L)
+        if g is not None and len(g) > 1:
+            count += len(_square_free_model(g)) - 1
+    return count
+
+
+class Certificates(list):
+    """The certificates of detect_involutions, with their count over Q-bar.
+
+    A list, equal to the plain list of its certificates.  The search's
+    equations and resolvent stay attached, so involutions_over_qbar can be
+    read off them later without a second elimination; it is evaluated on
+    each access, and a search that found certificates never needs it.
+    """
+
+    def __init__(self, certs, f, eqs, D, c0: bool):
+        super().__init__(certs)
+        self._search = (f, eqs, D, c0)
+
+    @property
+    def involutions_over_qbar(self) -> int:
+        """Number of reduced involutions over Q-bar (see _count_over_qbar)."""
+        return _count_over_qbar(*self._search)
 
 
 def _certified(p: Poly, stage: str) -> list:
@@ -265,7 +329,8 @@ def detect_involutions(curve) -> list:
     Every returned certificate is verified exactly, through is_automorphism
     directly or as the Galois conjugate of a map verified there: F is
     rational, so pullback(F, conj(m)) = conj(pullback(F, m)).  The list is
-    deterministically ordered.  Raises
+    deterministically ordered, and its involutions_over_qbar counts the
+    reduced involutions over every field (Certificates).  Raises
     SearchInconclusive when exact root certification fails (or elimination
     leaves no resolvent, which genus >= 2 rules out), in which case no
     silent undercount is possible.
@@ -332,7 +397,7 @@ def detect_involutions(curve) -> list:
                     if isinstance(irr, QuadExt):
                         twin = _conjugate(cert)
                         found[twin.map] = twin
-    return _sorted_certs(found)
+    return Certificates(_sorted_certs(found), f, eqs, D, lam0 is not None)
 
 
 def _sorted_certs(found: dict) -> list:

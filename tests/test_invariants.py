@@ -2,23 +2,25 @@
 
 import random
 import signal
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperinv.curve import to_even_degree, transform
 from hyperinv.errors import (
     ExcludedLocusPoint,
     HyperinvError,
     SearchInconclusive,
-    ToleranceAmbiguity,
     ZeroEndCoefficient,
 )
 from hyperinv.exact import QuadExt
 from hyperinv.invariants import (
     DihedralInvariants,
+    GroupLabel,
     apply_dihedral_action,
     canonicalize_invariants,
     classify,
@@ -26,6 +28,7 @@ from hyperinv.invariants import (
     cover_residual,
     dihedral_from_even,
     dihedral_from_normal,
+    igusa_clebsch,
     invariants_of,
     jacobian_det,
     locus_eval,
@@ -35,10 +38,12 @@ from hyperinv.invariants import (
 from hyperinv.poly import Poly, _coerce_coeff, variable
 from hyperinv.exact import Rational
 from hyperinv.moebius import MoebiusMap
+from hyperinv.moduli import rational_model
 from hyperinv.symmetry import detect_involutions, even_model
 
 from conftest import (
     CUBIC_MIDDLE,
+    FIXTURES,
     QUINTIC,
     SEXTIC_MINUS_X,
     SEXTIC_PLUS_ONE,
@@ -426,15 +431,16 @@ class TestClassifyIntegration:
         assert "no-involution-found" in r.flags
 
     def test_z10_fallback_needs_exact_i2_zero(self):
-        # 1 + X^5 and its moved copy have I2 = 0, as the Z10 point must
+        # 1 + X^5 and its moved copy have I2 = I4 = I6 = 0, as the Z10 point must
         assert classify(curve([1, 0, 0, 0, 0, 1])).label.name == "Z10"
         moved = transform(curve(SEXTIC_MINUS_X), MoebiusMap(2, 1, 1, 3))[0]
         assert classify(moved).label.name == "Z10"
-        # X^6 + 10^k X^5 + 1 lies near infinity, where the oracle's tolerance
+        # X^6 + 10^k X^5 + 1 lies near infinity, where a float tolerance
         # admits an approximate Z5, but I2 = -240 there
         for k in (10, 15):
-            with pytest.raises(ToleranceAmbiguity, match=r"fallback.*I2 = -240 is nonzero"):
-                classify(curve([1, 0, 0, 0, 0, 10**k, 1]))
+            res = classify(curve([1, 0, 0, 0, 0, 10**k, 1]))
+            assert res.label == GroupLabel("Z2", 1)
+            assert res.involutions_over_qbar == 0
 
     def test_genus3_no_involution_reports_candidates(self):
         c = curve([1, 1, 0, 0, 0, 0, 0, 0, 1])  # X^8 + X + 1
@@ -454,6 +460,145 @@ class TestClassifyIntegration:
         u, label = classify(curve(SLICE_15))
         assert u.u == (6750, 450)
         assert label.name == "Z3⋊D8"
+
+
+def _same_ic_point(p, q):
+    """Whether two (I2, I4, I6, I10) are one weighted projective point.
+
+    That is q_k = s^(k/2) p_k for one s, weights 1, 2, 3, 5 in s.  I10 is
+    the discriminant, nonzero on a curve, so s = r^x * (q10/p10)^y with
+    x*w + 5*y = 1 for any other nonzero ratio r of weight w, and all ratios
+    are then checked against powers of that s.
+    """
+    if [v == 0 for v in p] != [v == 0 for v in q]:
+        return False
+    ratios = [None if a == 0 else Rational(b, a) for a, b in zip(p, q)]
+    s = next((ratios[i] ** x * ratios[3] ** y
+              for i, (x, y) in enumerate(((1, 0), (3, -1), (2, -1))) if ratios[i]), None)
+    return s is None or all(r is None or r == s ** w for r, w in zip(ratios, (1, 2, 3, 5)))
+
+
+def _discriminant_from_roots(roots):
+    out = 1
+    for i, r in enumerate(roots):
+        for t in roots[i + 1:]:
+            out *= (r - t) ** 2
+    return out
+
+
+class TestIgusaClebsch:
+    def test_z10_point(self):
+        assert igusa_clebsch(curve(SEXTIC_MINUS_X)) == (0, 0, 0, 3125)
+        assert igusa_clebsch(curve([-1, 0, 0, 0, 0, 1])) == (0, 0, 0, 3125)
+
+    def test_i2_and_discriminant_on_split_curves(self):
+        rng = random.Random(7)
+        for degree in (5, 6) * 10:
+            roots = rng.sample(range(-9, 10), degree)
+            F = Poly([1])
+            for r in roots:
+                F = F * Poly([-r, 1])
+            a = [int(F.coeff(i)) for i in range(7)]
+            I2, _, _, I10 = igusa_clebsch(curve(F.coeffs))
+            assert I2 == 6 * a[3] ** 2 - 16 * a[2] * a[4] + 40 * a[1] * a[5] - 240 * a[0] * a[6]
+            assert I10 == _discriminant_from_roots(roots)
+
+    def test_integer_model_of_a_rational_curve(self):
+        half = curve([Rational(1, 2), 0, 0, 0, 0, 0, Rational(1, 2)])
+        assert igusa_clebsch(half) == igusa_clebsch(curve(SEXTIC_PLUS_ONE))
+
+    def test_genus_checked(self):
+        with pytest.raises(ValueError):
+            igusa_clebsch(curve([1, 1, 0, 0, 0, 0, 0, 0, 1]))
+
+    @settings(max_examples=40, deadline=5000, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.integers(-5, 5), min_size=6, max_size=7),
+           entries=st.tuples(*[st.integers(-20, 20)] * 4))
+    def test_moves_keep_the_weighted_point(self, coeffs, entries):
+        assume(coeffs[-1] != 0 and entries[0] * entries[3] != entries[1] * entries[2])
+        try:
+            c = curve(coeffs)
+            moved, _ = transform(c, MoebiusMap(*entries))
+        except HyperinvError:
+            assume(False)
+        assert _same_ic_point(igusa_clebsch(c), igusa_clebsch(moved))
+
+    def test_point_check_tells_points_apart(self):
+        p = igusa_clebsch(curve(SLICE_15))
+        assert _same_ic_point(p, tuple(v * 3 ** (k // 2) for v, k in zip(p, (2, 4, 6, 10))))
+        assert not _same_ic_point(p, (p[0], -p[1], p[2], p[3]))
+        assert not _same_ic_point(p, igusa_clebsch(curve(SLICE_MINUS_5)))
+
+    def test_rational_model_has_the_input_point(self):
+        compared = []
+        for name, coeffs in sorted(FIXTURES.items()):
+            res = classify(curve(coeffs))
+            try:
+                model = rational_model(res.invariants.u)
+            except HyperinvError:
+                continue  # u = (0, 0) and the D12 fixture have no such model
+            assert _same_ic_point(igusa_clebsch(curve(coeffs)), igusa_clebsch(model.curve)), name
+            compared.append(name)
+        assert compared == ["quintic", "slice_15", "slice_minus_5"]
+
+
+def _refuse_oracle(*args, **kwargs):
+    raise AssertionError("the numeric oracle was called")
+
+
+class TestNoCertificateWithoutOracle:
+    """Genus-2 labels with no certificate come from exact data alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_oracle(self, monkeypatch):
+        import hyperinv.oracle as oracle
+
+        monkeypatch.setattr(oracle, "reduced_group", _refuse_oracle)
+
+    @pytest.mark.parametrize("lo, hi", [(-5, 5), (-60, 60)])
+    def test_moved_z10_curves(self, lo, hi):
+        rng = random.Random(1)
+        done = 0
+        while done < 40:
+            m = MoebiusMap(*(rng.randint(lo, hi) for _ in range(4)))
+            try:
+                moved, _ = transform(curve(SEXTIC_MINUS_X), m)
+            except HyperinvError:
+                continue  # singular draw
+            res = classify(moved)
+            assert res.label == GroupLabel("Z10", 5), m
+            assert res.involutions_over_qbar == 0
+            done += 1
+
+    def test_i2_zero_alone_is_not_z10(self):
+        # X^6 + X^5 + 6X + 1 has I2 = 40*6 - 240 = 0 but I4 != 0
+        c = curve([1, 6, 0, 0, 0, 1, 1])
+        assert igusa_clebsch(c)[:2] == (0, -4500)
+        assert classify(c).label == GroupLabel("Z2", 1)
+
+    def test_d12_from_a_count_of_three(self):
+        # X^6 + X^3 + 2: the three involutions X -> t/X have t^3 = 2
+        res = classify(curve([2, 0, 0, 1, 0, 0, 1]))
+        assert res.certificates == ()
+        assert res.involutions_over_qbar == 3
+        assert res.label == GroupLabel("D12", 6)
+
+    def test_other_counts_are_inconclusive(self, monkeypatch):
+        import hyperinv.symmetry as symmetry
+
+        monkeypatch.setattr(symmetry.Certificates, "involutions_over_qbar", 7)
+        with pytest.raises(SearchInconclusive, match=r"genus 2: 7 reduced involutions"):
+            classify(curve([2, 0, 0, 1, 0, 0, 1]))
+
+    def test_classify_leaves_the_oracle_unimported(self):
+        code = ("import sys\n"
+                "from hyperinv.curve import new_curve\n"
+                "from hyperinv.invariants import classify\n"
+                "print(classify(new_curve([1, 3, 2, 2, 3, 1])).label.name,"
+                " 'hyperinv.oracle' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.stdout.split() == ["Z2", "False"], proc.stderr
 
 
 @contextmanager

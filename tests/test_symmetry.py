@@ -5,15 +5,16 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hyperinv.poly as poly_module
 import hyperinv.symmetry as symmetry
 from hyperinv.curve import to_even_degree, transform
-from hyperinv.errors import FixedBranchPoint, SearchInconclusive
+from hyperinv.errors import FixedBranchPoint, HyperinvError, SearchInconclusive
 from hyperinv.exact import QuadExt
 from hyperinv.invariants import classify, dihedral_from_even, dihedral_from_normal
 from hyperinv.moebius import MoebiusMap, is_automorphism, pullback_form
+from hyperinv.oracle import reduced_group
 from hyperinv.poly import Poly, gcd, variable
 from hyperinv.symmetry import candidate_orders, detect_involutions, even_model
 
@@ -118,6 +119,61 @@ class TestDetectInvolutions:
         fixing = [c for c in certs if c.fixes_branch_points]
         assert len(fixing) == 3
         assert MoebiusMap(1, 0, -4, -1) in [c.map for c in fixing]
+
+
+def _count(c):
+    ec, _ = to_even_degree(c)
+    return detect_involutions(ec).involutions_over_qbar
+
+
+# curves with their number of reduced involutions over Q-bar, from their groups
+_QBAR_COUNTS = {
+    (0, -1, 0, 0, 0, 0, 1): 0,  # X^6 - X, reduced Z5
+    (1, 0, 0, 0, 0, 0, 1): 7,  # X^6 + 1, reduced dihedral of order 12
+    (1, 0, 0, 4, 0, 0, 1): 3,  # reduced S3
+    (2, 0, 0, 1, 0, 0, 1): 3,  # reduced S3, X -> t/X over Q(t), t^3 = 2
+    (0, -1, 0, 0, 0, 1): 9,  # X^5 - X, reduced S4
+    (1, 0, 2, 0, 2, 0, 1): 3,  # reduced V4
+    (1, 0, 0, 0, 0, 0, 0, 0, 1): 9,  # X^8 + 1, reduced dihedral of order 16
+    (0, 2, 0, 0, 1, 0, 0, 1): 3,  # genus 3, reduced order 6, involutions over cubic fields
+    (0, 3, 0, 0, 5, 0, 0, 1): 3,
+    (1, 1, 0, 0, 0, 0, 0, 0, 1): 0,
+}
+
+
+class TestCountOverQbar:
+    def test_pinned_counts(self):
+        assert {k: _count(curve(k)) for k in _QBAR_COUNTS} == _QBAR_COUNTS
+
+    def test_pivot_vanishing_parameter(self):
+        # (X-3)^6 + 4(X-3)^3 + 1: p0 and p1 both vanish at a0 = 3, which
+        # carries all three involutions
+        x = variable() - 3
+        assert _count(curve((x ** 6 + 4 * x ** 3 + 1).coeffs)) == 3
+
+    def test_count_reuses_the_search(self, monkeypatch):
+        # no second elimination and no root finding after the search
+        found = detect_involutions(curve([2, 0, 0, 1, 0, 0, 1]))
+        monkeypatch.setattr(symmetry, "resultant", None)
+        monkeypatch.setattr(symmetry, "quad_irrational_roots", None)
+        assert found == [] and found.involutions_over_qbar == 3
+
+    @settings(max_examples=40, deadline=10000, derandomize=True, database=None)
+    @given(base=st.sampled_from(sorted(_QBAR_COUNTS) + [None]),
+           coeffs=st.lists(st.integers(-4, 4), min_size=5, max_size=8),
+           entries=st.tuples(*[st.integers(-3, 3)] * 4))
+    def test_equals_the_oracle_involution_count(self, base, coeffs, entries):
+        # The oracle's answer counts only where it names the same group at two
+        # tolerances: at 1e-9 it can miss symmetries of clustered roots.
+        try:
+            c = curve(coeffs + [1]) if base is None else transform(
+                curve(base), MoebiusMap(*entries))[0]
+            groups = {reduced_group(c, tol) for tol in (1e-9, 1e-6)}
+        except HyperinvError:
+            assume(False)
+        assume(len(groups) == 1)
+        [grp] = groups
+        assert _count(c) == sum(order == 2 for order in grp.element_orders)
 
 
 class TestPivotRead:
