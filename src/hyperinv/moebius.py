@@ -9,19 +9,21 @@ the lead entry once and multiplies, and is skipped when the lead is 1.
 Pullbacks run on Python ints.  The form and the map entries lie in Q or in
 one field Q(sqrt(D)); a value x + y*sqrt(D) is the pair (x, y), and a
 polynomial the pair of its x and y coefficient lists.  Each side is cleared
-to Z[sqrt(D)] over one common denominator, the expansion runs there, and
-the rational scale (content of f)/L^n is applied once at the end (see
+to Z[sqrt(D)] over one common denominator, and the rational scale
+(content of f)/L^n is applied once at the end.  The expansion is one
+homogeneous Horner at X = 2^k, read back as digits: a few big-integer
+products per coefficient, not a polynomial product (see
 _integer_pullback).  is_automorphism compares the two integer models by
 cross multiplication and never builds the pullback's field coefficients.
 """
 
 from __future__ import annotations
 
-from math import gcd as igcd, lcm
+from math import gcd as igcd, isqrt, lcm
 
 from .errors import DegreeTooSmall, IdentityMap, SingularModel, ZeroInput
 from .exact import QuadExt, Rational, _make, conj, pairs_over_one_radicand, sqrt_in_field
-from .poly import Poly, _coerce_coeff, _zz_add, _zz_mul, _zz_strip
+from .poly import Poly, _coerce_coeff, _zz_digits, _zz_homogeneous
 
 
 class _Infinity:
@@ -212,17 +214,6 @@ def _cleared(pairs):
             for xy in pairs], L
 
 
-def _pair_mul(u, v, rad):
-    """Product over Z[sqrt(rad)] of polynomials given as pairs (x, y) of int lists."""
-    (ux, uy), (vx, vy) = u, v
-    x = _zz_mul(ux, vx)
-    if not (uy or vy):
-        return x, []
-    if uy and vy:
-        x = _zz_add(x, [rad * c for c in _zz_mul(uy, vy)])
-    return x, _zz_add(_zz_mul(ux, vy), _zz_mul(uy, vx))
-
-
 def _integer_pullback(f: Poly, a, b, c, d, n: int):
     """Integer models (F, G, D, scale) of f and of its pullback.
 
@@ -230,8 +221,14 @@ def _integer_pullback(f: Poly, a, b, c, d, n: int):
     scale = content / L^n and L clears the denominators of a, b, c, d.  F
     and G are pairs (x, y) of int lists of length n + 1, coefficient i being
     x[i] + y[i]*sqrt(D); over Q, D is None and every y[i] is 0.  G is
-    sum_i F_i (AX + B)^i (CX + D')^(n-i) for the cleared entries, by Horner
-    in AX + B over a power table of CX + D'.
+    sum_i F_i (AX + B)^i (CX + D')^(n-i) for the cleared entries, evaluated
+    once at X = 2^k (_zz_homogeneous) and read back as symmetric base-2^k
+    digits (_zz_digits), part by part (Kronecker substitution).  The width
+    k is safe: with s = isqrt(|D|) + 1 the norm |x| + s*|y| bounds both
+    parts of x + y*sqrt(D) and is submultiplicative, so summed over
+    coefficients it bounds every part of every G_j by
+    N(F) * N(AX + B)^n * N(CX + D')^n, and k is that bound's bit length
+    plus 2, which leaves every |G_j| below 2^k / 4.
     """
     if f.is_zero():
         raise ZeroInput("cannot pull back the zero form")
@@ -243,22 +240,18 @@ def _integer_pullback(f: Poly, a, b, c, d, n: int):
     ints, den_f = _cleared(pairs[:-4])
     (A, B, C, Dm), L = _cleared(pairs[-4:])
     content = igcd(*[v for xy in ints for v in xy])
-    F = [[v // content for v in xy] for xy in ints]
-    num = (_zz_strip([B[0], A[0]]), _zz_strip([B[1], A[1]]))
-    den = (_zz_strip([Dm[0], C[0]]), _zz_strip([Dm[1], C[1]]))
-    den_pows = [([1], [])]
-    for _ in range(n):
-        den_pows.append(_pair_mul(den_pows[-1], den, rad))
-    acc = ([], [])
-    for i in range(deg, -1, -1):
-        ax, ay = _pair_mul(acc, num, rad)
-        tx, ty = _pair_mul((_zz_strip([F[i][0]]), _zz_strip([F[i][1]])),
-                           den_pows[deg - i], rad)
-        acc = (_zz_add(ax, tx), _zz_add(ay, ty))
-    G = _pair_mul(acc, den_pows[n - deg], rad)
-    pad = [0] * (n + 1)
-    F = ([x for x, _ in F] + pad)[:n + 1], ([y for _, y in F] + pad)[:n + 1]
-    G = (G[0] + pad)[:n + 1], (G[1] + pad)[:n + 1]
+    pad = [0] * (n - deg)
+    F = [x // content for x, _ in ints] + pad, [y // content for _, y in ints] + pad
+    s = isqrt(abs(rad)) + 1
+
+    def norm(*values):
+        return sum(abs(x) + s * abs(y) for x, y in values)
+
+    k = (norm(*ints) // content * norm(A, B) ** n * norm(C, Dm) ** n).bit_length() + 2
+    xi = 1 << k
+    gx, gy = _zz_homogeneous(*F, (A[0] * xi + B[0], A[1] * xi + B[1]),
+                             (C[0] * xi + Dm[0], C[1] * xi + Dm[1]), n, rad)
+    G = tuple(g + [0] * (n + 1 - len(g)) for g in (_zz_digits(gx, xi), _zz_digits(gy, xi)))
     return F, G, D, Rational(content, den_f * L ** n)
 
 

@@ -23,7 +23,7 @@ from .errors import ToleranceAmbiguity, UnknownSignature
 from .exact import Rational
 from .invariants import _GENUS2_ORDERS, GroupLabel
 from .moebius import INFINITY
-from .poly import numeric_roots
+from .poly import _zz_homogeneous, numeric_roots
 from .record import frozen_record
 
 _GENUS2_LABELS = {n: name for name, n in _GENUS2_ORDERS.items()}
@@ -148,16 +148,14 @@ def _dyadic(z):
 def _exact_magnitude(ints, content, a, b, k):
     """|content · f((a + bi) / 2^k)| for the int coefficients of f.
 
-    A homogeneous Horner over the Gaussian integers gives 2^(k·deg) times
-    the value exactly.  Each part is then rounded once by int true
-    division, which is correctly rounded, as Fraction.__float__ is.
+    A homogeneous Horner over the Gaussian integers (_zz_homogeneous at
+    u = a + bi, v = 2^k) gives 2^(k·deg) times the value exactly.  Each
+    part is then rounded once by int true division, which is correctly
+    rounded, as Fraction.__float__ is.
     """
-    re, im = ints[-1], 0
-    shift = 0
-    for c in reversed(ints[:-1]):
-        shift += k
-        re, im = re * a - im * b + (c << shift), re * b + im * a
-    num, den = content.numerator, content.denominator << shift
+    deg = len(ints) - 1
+    re, im = _zz_homogeneous(ints, (), (a, b), (1 << k, 0), deg, -1)
+    num, den = content.numerator, content.denominator << (k * deg)
     return math.hypot(num * re / den, num * im / den)
 
 

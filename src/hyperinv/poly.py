@@ -320,6 +320,43 @@ def _zz_eval(f, x):
     return acc
 
 
+def _zz_homogeneous(cx, cy, u, v, n, rad):
+    """sum_i (cx[i] + cy[i]*sqrt(rad)) * u^i * v^(n-i) as an int pair (x, y).
+
+    u and v are int pairs x + y*sqrt(rad); cx and cy are int lists of
+    length at most n + 1, missing entries read as 0 (cy may be empty).
+    One Horner pass in u from i = n down carries the powers of v, so a
+    form of degree below n gets its factor v^(n - deg) with no extra step.
+    """
+    (ux, uy), (vx, vy) = u, v
+    x = y = 0
+    px, py = 1, 0  # v^(n - i)
+    for i in range(n, -1, -1):
+        x, y = x * ux + rad * y * uy, x * uy + y * ux
+        c = cx[i] if i < len(cx) else 0
+        d = cy[i] if i < len(cy) else 0
+        if c or d:
+            x, y = x + c * px + rad * d * py, y + c * py + d * px
+        if i:
+            px, py = px * vx + rad * py * vy, px * vy + py * vx
+    return x, y
+
+
+def _zz_digits(v, xi):
+    """The symmetric xi-adic digits of v, lowest first, each in (-xi/2, xi/2].
+
+    Needs xi >= 3: in base 2 a negative v has no such digits.
+    """
+    half, out = xi // 2, []
+    while v:
+        c = v % xi
+        if c > half:
+            c -= xi
+        out.append(c)
+        v = (v - c) // xi
+    return out
+
+
 def _zz_primitive(f):
     """f over its content, leading coefficient made positive."""
     if not f:
@@ -388,14 +425,7 @@ def _zz_heu_gcd(f, g):
     for _ in range(_HEU_TRIES):
         fv, gv = _zz_eval(f, xi), _zz_eval(g, xi)
         if fv and gv:
-            v, half, h = igcd(fv, gv), xi // 2, []
-            while v:
-                c = v % xi
-                if c > half:
-                    c -= xi
-                h.append(c)
-                v = (v - c) // xi
-            h = _zz_primitive(h)
+            h = _zz_primitive(_zz_digits(igcd(fv, gv), xi))
             if _zz_quo(f, h) is not None and _zz_quo(g, h) is not None:
                 return h
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011

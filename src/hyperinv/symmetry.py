@@ -5,14 +5,16 @@ branch set.  Every such map is conjugate to a trace-zero matrix, so the
 search space splits into gamma = -X + beta (one linear unknown) and
 gamma = (aX + b)/(X - a) (two unknowns).  The second case is solved by
 exact elimination over Z[a][b]: the pullback-proportionality equations of
-F's integer model are built as int lists, the X^(n-1) equation is linear in
-b, and resultants against it collapse the system to a single univariate gcd
-in a whose rational and quadratic-irrational roots are certified.  Each
-such a then fixes b through that linear pivot, b = -p0(a)/p1(a); only at
-the one rational a where the pivot vanishes are the other equations
-solved for b.  The resolvent chain and the evaluations at each a run on
-int lists.  Every candidate map is verified against F itself, directly or
-as the Galois conjugate of a verified map: F is rational, so
+F's integer model are int lists, each built on demand when the elimination
+first reads it, the X^(n-1) equation is linear in b, and resultants against
+it collapse the system to a single univariate gcd in a whose rational and
+quadratic-irrational roots are certified; the chain stops, and draws no
+further equation, once that gcd is constant.  Each such a then fixes b
+through that linear pivot, b = -p0(a)/p1(a); only at the one rational a
+where the pivot vanishes are the other equations solved for b.  The
+resolvent chain and the evaluations at each a run on int lists.  Every
+candidate map is verified against F itself, directly or as the Galois
+conjugate of a verified map: F is rational, so
 pullback(F, conj(m)) = conj(pullback(F, m)), and one map per conjugate
 pair is checked.
 
@@ -22,6 +24,7 @@ involutions needing higher-degree fields are intentionally not reported.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb, isqrt
 from typing import Optional, Tuple
 
@@ -38,8 +41,8 @@ from .moebius import INFINITY, MoebiusMap, _cleared, is_automorphism
 from .moebius import pullback_coeffs  # noqa: F401
 # gcd stays importable from here: perfbench/spans.py wraps this name
 from .poly import gcd  # noqa: F401
-from .poly import (Poly, _square_free_model, _zz_add, _zz_gcd, _zz_mul, _zz_primitive,
-                   _zz_quo, _zz_strip, quad_irrational_roots, resultant)
+from .poly import (Poly, _square_free_model, _zz_add, _zz_gcd, _zz_homogeneous, _zz_mul,
+                   _zz_primitive, _zz_quo, _zz_strip, quad_irrational_roots, resultant)
 from .record import frozen_record
 
 
@@ -147,29 +150,58 @@ def _conjugate(cert: InvolutionCertificate) -> InvolutionCertificate:
 def _involution_equations(f, n: int):
     """The c = 1 equations in Z[a][b] for an integer model f of degree n.
 
-    With G = (X - a)^n f((aX + b)/(X - a)), equation k is
-    f_n G_k - f_k f(a) for k = n-1 down to 0, zero ones left out; each is a
-    list ascending in b of int lists ascending in a.  The b^e a^t term of G_k
-    comes from f_i with i = t + k + 2e - n alone, with coefficient
+    A generator: with G = (X - a)^n f((aX + b)/(X - a)), equation k is
+    f_n G_k - f_k f(a) for k = n-1 down to 0, zero ones left out, and each
+    is built in O(n^2) only when it is drawn.  Each is a list ascending in b
+    of int lists ascending in a.  The b^e a^t term of G_k comes from f_i
+    with i = t + k + 2e - n alone, with coefficient
     (-1)^(n-k-e) C(i, e) C(n-i, k-i+e) f_i.
     """
-    G = [[[0] * (2 * n + 1) for _ in range(n + 1)] for _ in range(n)]
-    for i, fi in enumerate(f):
-        if not fi:
-            continue
-        for e in range(i + 1):
-            for k in range(max(i - e, 0), min(n - e, n - 1) + 1):
-                term = fi * comb(i, e) * comb(n - i, k - i + e)
-                G[k][e][n - k + i - 2 * e] += -term if (n - k - e) % 2 else term
-    fn = f[n]
-    eqs = []
+    fn, tail = f[n], [0] * n
     for k in range(n - 1, -1, -1):
-        rows = [[fn * c for c in row] for row in G[k]]
-        rows[0] = [c - f[k] * fc for c, fc in zip(rows[0], f + [0] * n)]
+        rows = [[0] * (2 * n + 1) for _ in range(n - k + 1)]
+        for i, fi in enumerate(f):
+            if fi:
+                for e in range(max(i - k, 0), min(i, n - k) + 1):
+                    term = fn * fi * comb(i, e) * comb(n - i, k - i + e)
+                    rows[e][n - k + i - 2 * e] += -term if (n - k - e) % 2 else term
+        rows[0] = [c - f[k] * fc for c, fc in zip(rows[0], f + tail)]
         rows = _zz_strip([_zz_strip(row) for row in rows])
         if rows:
-            eqs.append(rows)
-    return eqs
+            yield rows
+
+
+class _Equations:
+    """The c = 1 equations of one search, each built when first read.
+
+    Iterating replays the equations built so far and then draws new ones
+    from the source, keeping them: every reader sees the same sequence,
+    and none is built twice or before a reader needs it.  The pivot comes
+    first; rest() is every equation after it.
+    """
+
+    __slots__ = ("_source", "_built")
+
+    def __init__(self, source):
+        self._source, self._built = source, []
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self._built):
+                E = next(self._source, None)
+                if E is None:
+                    return
+                self._built.append(E)
+            yield self._built[i]
+            i += 1
+
+    @property
+    def pivot(self):
+        return next(iter(self))
+
+    def rest(self):
+        return islice(self, 1, None)
 
 
 def _off_branch(D, F):
@@ -184,24 +216,10 @@ def _off_branch(D, F):
     return D
 
 
-def _homogeneous(row, x, y, L, K, rad):
-    """L^K * row((x + y*sqrt(rad))/L) as the int pair (u, v) = u + v*sqrt(rad).
-
-    row is an int list of degree at most K; y = 0 evaluates at x/L.
-    """
-    u = v = 0
-    power = 1
-    for i in range(K, -1, -1):
-        c = row[i] * power if i < len(row) else 0
-        u, v = u * x + rad * v * y + c, u * y + v * x
-        power *= L
-    return u, v
-
-
 def _b_values(eqs, a0) -> list:
     """Every b solving all the c = 1 equations at a root a0 of the resolvent.
 
-    The pivot eqs[0] is p1*b + p0 with p1 = fn*f'(a) and
+    The pivot eqs.pivot is p1*b + p0 with p1 = fn*f'(a) and
     p0 = fn*a^2*f'(a) - (n*fn*a + f_(n-1))*f(a).  For any other equation E
     of degree m in b, Res(pivot, E) = p1^m * E(-p0/p1) (E itself when
     m = 0), and a nonconstant resolvent divides every such resultant that
@@ -220,12 +238,12 @@ def _b_values(eqs, a0) -> list:
     _pivot_gcd.
     """
     D, pairs = pairs_over_one_radicand([a0])
-    [(x, y)], L = _cleared(pairs)
+    [xy], L = _cleared(pairs)
     rad = 0 if D is None else int(D)
-    p0, p1 = eqs[0]
+    p0, p1 = eqs.pivot
     K = max(len(p0), len(p1)) - 1
-    u0, v0 = _homogeneous(p0, x, y, L, K, rad)
-    u1, v1 = _homogeneous(p1, x, y, L, K, rad)
+    u0, v0 = _zz_homogeneous(p0, (), xy, (L, 0), K, rad)
+    u1, v1 = _zz_homogeneous(p1, (), xy, (L, 0), K, rad)
     if u1 or v1:
         # -(u0 + v0 sqrt(D)) / (u1 + v1 sqrt(D)), through the conjugate of the divisor
         norm = u1 * u1 - rad * v1 * v1
@@ -233,7 +251,7 @@ def _b_values(eqs, a0) -> list:
         return [re if D is None else _make(re, im, D)]
     if u0 or v0 or D is not None:
         return []  # p0(a0) != 0, the case above: both vanish only at a rational a0
-    g = _pivot_gcd(eqs, x, L)
+    g = _pivot_gcd(eqs, xy[0], L)
     if g is None or len(g) == 1:
         return []
     return _certified(Poly(g), f"b certification failed at the rational a0 = {a0} "
@@ -245,12 +263,13 @@ def _pivot_gcd(eqs, x: int, L: int):
 
     Each equation becomes a primitive int list in b through one power of L;
     the result is an integer model, None when every equation vanishes, and
-    the chain stops as soon as the gcd is constant.
+    the chain stops, drawing no further equation, as soon as the gcd is
+    constant.
     """
     g = None
-    for E in eqs[1:]:
-        q = _zz_strip([_homogeneous(row, x, 0, L, max(map(len, E)) - 1, 0)[0]
-                       for row in E])
+    for E in eqs.rest():
+        K = max(map(len, E)) - 1
+        q = _zz_strip([_zz_homogeneous(row, (), (x, 0), (L, 0), K, 0)[0] for row in E])
         if q:
             g = _zz_primitive(q) if g is None else _zz_gcd(g, _zz_primitive(q))
             if len(g) == 1:
@@ -279,14 +298,14 @@ def _count_over_qbar(f, eqs, D, c0: bool) -> int:
     count = int(c0)
     if len(D) == 1:
         return count
-    p1 = eqs[0][1]
+    p1 = eqs.pivot[1]
     rest = _square_free_model(D)
     count += len(rest) - len(_zz_gcd(rest, _zz_primitive(p1)))
     n = len(f) - 1
     a0 = Rational(-f[n - 1], n * f[n])
     x, L = a0.numerator, a0.denominator
     # n*fn*a0 + f_(n-1) = 0 leaves p0(a0) = a0^2 * p1(a0): both vanish where p1 does
-    if _homogeneous(p1, x, 0, L, len(p1) - 1, 0)[0] == 0:
+    if _zz_homogeneous(p1, (), (x, 0), (L, 0), len(p1) - 1, 0)[0] == 0:
         g = _pivot_gcd(eqs, x, L)
         if g is not None and len(g) > 1:
             count += len(_square_free_model(g)) - 1
@@ -297,9 +316,11 @@ class Certificates(list):
     """The certificates of detect_involutions, with their count over Q-bar.
 
     A list, equal to the plain list of its certificates.  The search's
-    equations and resolvent stay attached, so involutions_over_qbar can be
-    read off them later without a second elimination; it is evaluated on
-    each access, and a search that found certificates never needs it.
+    equations (_Equations, which builds any not yet drawn when the count
+    first reads it) and resolvent stay attached, so involutions_over_qbar
+    can be read off them later without a second elimination; it is
+    evaluated on each access, and a search that found certificates never
+    needs it.
     """
 
     def __init__(self, certs, f, eqs, D, c0: bool):
@@ -360,17 +381,20 @@ def detect_involutions(curve) -> list:
         record(m0, lam0)
 
     # Case c = 1: gamma = (aX + b)/(X - a); outer variable b, inner a.
-    # The X^(n-1) equation, first in the list, is fn*F'(a)*b + p0(a) with
+    # The X^(n-1) equation, drawn first, is fn*F'(a)*b + p0(a) with
     # F' != 0: the linear pivot of every resultant.  The resolvent D, an
     # integer model, gives the candidates a0, and the pivot then reads off
-    # b0 (_b_values).
-    eqs = _involution_equations(f, n)
-    D = None
-    for E in eqs[1:]:
-        r = E[0] if len(E) == 1 else [c.numerator for c in resultant(eqs[0], E).coeffs]
+    # b0 (_b_values).  Equations are drawn only while the chain needs them.
+    eqs = _Equations(_involution_equations(f, n))
+    pivot, D = eqs.pivot, None
+    for E in eqs.rest():
+        r = E[0] if len(E) == 1 else [c.numerator for c in resultant(pivot, E).coeffs]
         if r:
             r = _zz_primitive(r)
-            D = r if D is None else _off_branch(_zz_gcd(D, r), f)
+            # F's factors leave the first resultant once: every divisor of
+            # a polynomial coprime to F is coprime to F, so the later gcds
+            # need no second pass
+            D = _off_branch(r, f) if D is None else _zz_gcd(D, r)
             if len(D) == 1:
                 break
     if D is None:
@@ -379,7 +403,6 @@ def detect_involutions(curve) -> list:
         raise SearchInconclusive(
             f"elimination: no nonzero resolvent at genus {curve.genus}; "
             f"equation degrees (in b, in a): {sizes}")
-    D = _off_branch(D, f)
     if len(D) > 1:
         # One map per Galois orbit: of two conjugate a0, and of two
         # conjugate b0 at a rational a0, only the one with positive radical

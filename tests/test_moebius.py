@@ -282,27 +282,34 @@ def _reference_lam(f, m, n):
 class TestIntegerPullback:
     # 2 * 1009^2 keeps its square factor (1009 is past the radicand trial
     # bound), so values over it and over 2 are one field in two spellings
-    RADICANDS = (2, -3, 5, 2 * 1009**2)
+    RADICANDS = (2, -3, 5, -1, 2 * 1009**2)
 
     @staticmethod
-    def _scalar(rng, radicand):
-        x = Rational(rng.randint(-60, 60), rng.randint(1, 12))
+    def _scalar(rng, radicand, height=60):
+        """A random value over Q(sqrt radicand), sometimes rational, sometimes 0."""
+        if rng.random() < 0.15:
+            return Rational(0)
+        x = Rational(rng.randint(-height, height), rng.randint(1, 12))
         if radicand is None or rng.random() < 0.3:
             return x
-        return QuadExt(x, Rational(rng.randint(-9, 9), rng.randint(1, 7)), radicand)
+        return QuadExt(x, Rational(rng.randint(-height, height) or 1, rng.randint(1, 7)),
+                       radicand)
 
     def test_matches_generic_reference(self):
+        # forms of degree below n, zero coefficients, and map entries up to
+        # 10^40, whose pullback is read back as digits of a large integer
         rng = random.Random(71)
         done = 0
-        while done < 150:
+        while done < 200:
             field = rng.choice((None,) + self.RADICANDS)
             f_field = field if rng.random() < 0.5 else None
             if field == 2 * 1009**2 and rng.random() < 0.5:
                 f_field = 2
             n = rng.randint(5, 9)
+            height = rng.choice((60, 10**6, 10**40))
             f = Poly([self._scalar(rng, f_field) for _ in range(rng.randint(1, n + 1))])
             try:
-                m = MoebiusMap(*(self._scalar(rng, field) for _ in range(4)))
+                m = MoebiusMap(*(self._scalar(rng, field, height) for _ in range(4)))
             except SingularModel:
                 continue
             if f.is_zero():
@@ -312,6 +319,21 @@ class TestIntegerPullback:
             assert pullback_coeffs(f, m.a, m.b, m.c, m.d, n) == want
             assert is_automorphism(f, m, n) == _reference_lam(f, m, n)
             done += 1
+
+    @pytest.mark.parametrize("coeffs, entries, n", [
+        # pullbacks whose largest coefficient meets the width's bound: one
+        # term, read back with its sign, at the top of its digit range
+        ([0, 0, 0, 0, 0, 0, -7], (5, 0, 0, 1), 6),
+        ([0, 0, -1], (0, 1, 1, 0), 6),
+        ([0, 0, 0, 0, 0, 3], (QuadExt(0, 3, -1), 0, 0, 1), 5),
+        ([0, 0, 0, QuadExt(0, -1, 2)], (0, QuadExt(0, 1009, 2), 1, 0), 3),
+        ([-1, 0, 0, 0, 0, 0, 0, 0, 10**40], (-(10**40), 0, 0, 1), 8),
+    ])
+    def test_single_term_pullbacks(self, coeffs, entries, n):
+        f, m = Poly(coeffs), MoebiusMap(*entries)
+        want = generic_pullback(f, m.a, m.b, m.c, m.d, n)
+        assert pullback_form(f, m, n) == want
+        assert is_automorphism(f, m, n) == _reference_lam(f, m, n)
 
     def test_automorphisms_over_a_quadratic_field(self):
         # X^6 - 1 moved by a map over Q(sqrt 2): its rational involutions,

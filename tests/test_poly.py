@@ -24,7 +24,7 @@ from hyperinv.poly import (
     resultant,
     variable,
 )
-from hyperinv.poly import _field_gcd, _zz_heu_gcd, _zz_prs_gcd
+from hyperinv.poly import _field_gcd, _zz_heu_gcd, _zz_homogeneous, _zz_prs_gcd
 from hyperinv.exact import Rational
 
 
@@ -176,6 +176,31 @@ class TestIntegerModel:
         ints, content = Poly([1, -2]).integer_model()
         assert ints[-1] > 0
         assert Poly(ints).scale(content) == Poly([1, -2])
+
+
+class TestHomogeneous:
+    def test_matches_field_evaluation(self):
+        # v^n * c(u/v) over Q(sqrt rad), with cy shorter than cx and forms
+        # of degree below n
+        rng = random.Random(83)
+        for _ in range(200):
+            rad = rng.choice((0, -1, 2, -3, 5))
+            n = rng.randint(0, 8)
+            cx = [rng.randint(-99, 99) for _ in range(rng.randint(1, n + 1))]
+            cy = [] if rad == 0 else [rng.randint(-99, 99) for _ in range(rng.randint(0, len(cx)))]
+            u = (rng.randint(-10**20, 10**20), 0 if rad == 0 else rng.randint(-9, 9))
+            v = (rng.randint(1, 10**6), 0 if rad == 0 else rng.randint(-9, 9))
+            got = _zz_homogeneous(cx, cy, u, v, n, rad)
+            if rad == 0:
+                want = sum(c * u[0] ** i * v[0] ** (n - i) for i, c in enumerate(cx))
+                assert got == (want, 0)
+                continue
+            U, V = (QuadExt(x, y, rad) for x, y in (u, v))
+            want = sum((QuadExt(x, y, rad) * U ** i * V ** (n - i)
+                        for i, (x, y) in enumerate(zip(cx, cy + [0] * len(cx)))),
+                       Rational(0))
+            x, y = (want, 0) if isinstance(want, Rational) else (want.a, want.b)
+            assert got == (x, y)
 
 
 class TestGcd:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +16,7 @@ from hyperinv.exact import QuadExt
 from hyperinv.invariants import classify, dihedral_from_even, dihedral_from_normal
 from hyperinv.moebius import MoebiusMap, is_automorphism, pullback_form
 from hyperinv.oracle import reduced_group
-from hyperinv.poly import Poly, gcd, variable
+from hyperinv.poly import Poly, gcd, resultant, variable
 from hyperinv.symmetry import candidate_orders, detect_involutions, even_model
 
 from conftest import (
@@ -183,7 +184,7 @@ class TestPivotRead:
     def test_fallback_where_the_pivot_vanishes(self):
         # (X - 3)^6 + 4(X - 3)^3 + 1: p1 = p0 = 0 at a = -f5/(6 f6) = 3
         f = [622, -1350, 1179, -536, 135, -18, 1]
-        p0, p1 = (Poly(row) for row in symmetry._involution_equations(f, 6)[0])
+        p0, p1 = (Poly(row) for row in next(symmetry._involution_equations(f, 6)))
         assert p0(3) == p1(3) == 0
         certs = detect_involutions(curve(f))
         assert len(certs) == 3
@@ -194,7 +195,7 @@ class TestPivotRead:
         # X^6 - 1 pulled back by (2X + 1)/(X + 3)
         f = [-728, -1446, -1155, -380, 105, 174, 63]
         c = curve(f)
-        p1 = Poly(symmetry._involution_equations(f, 6)[0][1])
+        p1 = Poly(next(symmetry._involution_equations(f, 6))[1])
         certs = detect_involutions(c)
         assert len(certs) == 7
         irrational = [t for t in certs
@@ -409,7 +410,9 @@ def _nested_equations(f, n):
             Gk = Poly([Gk])
         E = Gk.scale(f[n]) - Poly([Fa.scale(f[k])])
         if not E.is_zero():
-            out.append([[int(c) for c in row.coeffs] for row in E.coeffs])
+            # a row that collapsed to a scalar is a constant, or zero
+            out.append([[int(c) for c in row.coeffs] if isinstance(row, Poly)
+                        else [int(row)] if row else [] for row in E.coeffs])
     return out
 
 
@@ -441,8 +444,9 @@ def _random_quadratic(rng):
 class TestBValues:
     @staticmethod
     def same(f, a0):
-        eqs = symmetry._involution_equations(f, len(f) - 1)
-        got, want = symmetry._b_values(eqs, a0), _reference_b_values(eqs, a0)
+        eqs = list(symmetry._involution_equations(f, len(f) - 1))
+        got = symmetry._b_values(symmetry._Equations(iter(eqs)), a0)
+        want = _reference_b_values(eqs, a0)
         assert repr(got) == repr(want), (f, a0)
         return got
 
@@ -468,13 +472,71 @@ class TestBValues:
         assert self.same([1, 0, 0, 0, -3, 0, 1], QuadExt(0, 1, 2)) == []
 
 
+def _sparse_even_model(rng, g):
+    """A model of degree 2g + 2 with most coefficients zero."""
+    f = [rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(2 * g + 2)]
+    f[0] = f[0] or 1
+    return f + [rng.choice([-2, -1, 1, 2])]
+
+
+def _chain_length(eqs, f):
+    """How many equations the resolvent chain reads, the pivot included.
+
+    The chain of detect_involutions on the full list: it stops at the first
+    resultant whose gcd with the ones before it, F's factors divided out,
+    is constant.
+    """
+    D = None
+    for k, E in enumerate(eqs[1:], start=2):
+        r = E[0] if len(E) == 1 else [c.numerator for c in resultant(eqs[0], E).coeffs]
+        if r:
+            r = symmetry._zz_primitive(r)
+            D = symmetry._off_branch(r if D is None else symmetry._zz_gcd(D, r), f)
+            if len(D) == 1:
+                return k
+    return len(eqs)
+
+
 class TestInvolutionEquations:
     def test_match_nested_pullback(self):
+        # dense and sparse models of genus 2 to 5; the b^(n-k) row of
+        # equation k is fn * sum_i C(i, n-k) f_i a^(i-n+k), which holds
+        # C(n, n-k) fn^2 a^k, so no equation is zero and all n are drawn
         rng = random.Random(53)
-        for g in (2, 3, 4):
-            f = _random_even_model(rng, g)
-            n = 2 * g + 2
-            assert symmetry._involution_equations(f, n) == _nested_equations(f, n)
+        for _ in range(3):
+            for g in (2, 3, 4, 5):
+                n = 2 * g + 2
+                for f in (_random_even_model(rng, g), _sparse_even_model(rng, g)):
+                    eqs = list(symmetry._involution_equations(f, n))
+                    assert eqs == _nested_equations(f, n), f
+                    assert len(eqs) == n
+
+    def test_equations_are_built_only_as_the_chain_reads_them(self, monkeypatch):
+        # recip40-style curves: odd reciprocal models [1] + mid + mid[::-1] + [1]
+        full, drawn = symmetry._involution_equations, []
+
+        def counted(f, n):
+            for E in full(f, n):
+                drawn[-1] += 1
+                yield E
+
+        monkeypatch.setattr(symmetry, "_involution_equations", counted)
+        rng, early = random.Random(3), 0
+        for _ in range(20):
+            g = rng.randint(2, 4)
+            mid = [rng.randint(-6, 6) for _ in range(g)]
+            try:
+                c, _ = to_even_degree(curve([1] + mid + mid[::-1] + [1]))
+            except HyperinvError:
+                continue
+            drawn.append(0)
+            certs = detect_involutions(c)
+            f = c.F.integer_model()[0]
+            if len(certs) == 0:  # a constant resolvent: nothing after the chain reads more
+                stop = _chain_length(list(full(f, len(f) - 1)), f)
+                assert drawn[-1] == stop, (mid, drawn[-1], stop)
+                early += stop < len(f) - 1
+        assert early >= 10
 
     def test_pivot_is_linear_with_lead_fn_times_derivative(self):
         rng = random.Random(59)
@@ -482,7 +544,7 @@ class TestInvolutionEquations:
             for g in (2, 3, 4, 5):
                 f = _random_even_model(rng, g)
                 n = 2 * g + 2
-                pivot = symmetry._involution_equations(f, n)[0]
+                pivot = next(symmetry._involution_equations(f, n))
                 derivative = [i * c for i, c in enumerate(f)][1:]
                 assert len(pivot) == 2
                 assert pivot[1] == [f[n] * c for c in derivative]
@@ -528,7 +590,7 @@ class TestInvolutionEquations:
     def test_vanishing_elimination_is_inconclusive(self, monkeypatch):
         full = symmetry._involution_equations
         monkeypatch.setattr(symmetry, "_involution_equations",
-                            lambda f, n: full(f, n)[:1])
+                            lambda f, n: islice(full(f, n), 1))
         with pytest.raises(SearchInconclusive, match="elimination.*genus 2"):
             detect_involutions(curve([1, 1, 0, 0, 0, 0, 1]))
 
