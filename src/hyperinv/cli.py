@@ -74,7 +74,7 @@ def curve_from_json(obj):
     node = obj
     if "curve" not in node and "result" in node:
         node = node["result"]
-    if "curve" not in node:
+    if "curve" not in node or not isinstance(node["curve"], dict):
         raise ValueError("input JSON has no curve object")
     coeffs = node["curve"].get("coefficients")
     if not isinstance(coeffs, list) or not coeffs:

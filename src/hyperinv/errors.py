@@ -31,7 +31,7 @@ class BothZero(HyperinvError):
 
 
 class ZeroInput(HyperinvError):
-    """Resultant of a zero polynomial is undefined here."""
+    """A resultant, pullback or root finder got a zero (numeric_roots: constant) polynomial."""
 
 
 class NonConvergence(Inconclusive):
@@ -59,7 +59,7 @@ class DegreeTooSmall(HyperinvError):
 # --- curves ---
 
 class IllegalCollapse(HyperinvError):
-    """A transform collapsed the branch divisor below tolerance for a curve."""
+    """A transform left a model of degree below 2g + 1: its branch divisor collapsed."""
 
 
 # --- involution search ---

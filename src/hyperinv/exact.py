@@ -6,7 +6,7 @@ QuadExt adds values a + b*sqrt(d) over a fixed non-square radicand d, and
 only irrational ones: b is never 0, because QuadExt(a, 0, d) and every
 arithmetic result with a zero radical part are the Rational a.  So a
 rational value is always a Rational, and code elsewhere never normalises.
-Everything here is exact; nothing rounds.
+Everything here is exact; nothing rounds.  zz.py holds the int-pair format.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ def rat(x) -> Rational:
     if isinstance(x, Rational):
         return x
     if isinstance(x, (int, str)):
-        return Rational(x)
+        try:
+            return Rational(x)
+        except ZeroDivisionError:  # a string such as "1/0"
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, QuadExt):
         raise ValueError(f"{x} is irrational, cannot coerce to Rational")
     if isinstance(x, float):
@@ -331,20 +334,6 @@ def sqrt_in_field(x, ambient=None):
             if p * p + q * q * D == A:
                 return _make(p, q, D)
     return None
-
-
-def pairs_over_one_radicand(values):
-    """(d, pairs): values[i] = x + y*sqrt(d) with rational (x, y) = pairs[i].
-
-    d is the radicand of the first irrational value, None when every value
-    is rational (then every y is 0); a value in another quadratic field
-    raises RadicandMismatch.
-    """
-    ref = next((v for v in values if isinstance(v, QuadExt)), None)
-    if ref is None:
-        return None, [(rat(v), 0) for v in values]
-    return ref.d, [ref._coerce(v) if isinstance(v, QuadExt) else (rat(v), 0)
-                   for v in values]
 
 
 def sort_key(x):

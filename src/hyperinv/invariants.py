@@ -8,7 +8,7 @@ Apart from dihedral_from_even, the formulas are generic over the scalar
 ring, so they run on Rational, QuadExt, and nested Poly inputs (the latter
 for symbolic identities).  dihedral_from_even takes an even model over Q or
 one quadratic field Q(sqrt(D)) and computes on its integer pairs over
-Z[sqrt(D)].
+Z[sqrt(D)], in the format that zz.py owns.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from math import comb, factorial, perm
 from typing import Optional, Tuple
 
 from .errors import ExcludedLocusPoint, SearchInconclusive, ZeroEndCoefficient
-from .exact import QuadExt, Rational, _make, pairs_over_one_radicand, sort_key
-from .moebius import MoebiusMap, _cleared
-from .poly import _coerce_coeff, _zz_mul, det_bareiss
+from .exact import QuadExt, Rational, sort_key
+from .moebius import MoebiusMap
+from .poly import _coerce_coeff, det_bareiss
 from .record import frozen_record
+from . import zz
 
 
 def _pow(x, k: int):
@@ -92,20 +93,6 @@ def dihedral_from_normal(a) -> DihedralInvariants:
     return DihedralInvariants(tuple(u), g)
 
 
-def _pair_mul(u, v, rad):
-    """Product of x + y*sqrt(rad) values given as int pairs (x, y)."""
-    (ux, uy), (vx, vy) = u, v
-    return ux * vx + rad * uy * vy, ux * vy + uy * vx
-
-
-def _pair_powers(x, k, rad):
-    """[x^0, x^1, ..., x^k] for an int pair x over Z[sqrt(rad)]."""
-    out = [(1, 0)]
-    for _ in range(k):
-        out.append(_pair_mul(out[-1], x, rad))
-    return out
-
-
 def dihedral_from_even(b) -> DihedralInvariants:
     """Invariants straight from an even model Y^2 = sum b_i X^(2i).
 
@@ -115,34 +102,28 @@ def dihedral_from_even(b) -> DihedralInvariants:
         u_i = (b_1^m b_i b_(g+1)^(m-1) + b_g^m b_(g-i+1) b_0^(m-1)) / (b_(g+1)^m b_0^m)
 
     with m = g-i+1.  Requires b_0 and b_(g+1) nonzero.  The b_i lie in Q or
-    in one field Q(sqrt(D)); u_i has degree 0 in b, so b is cleared once to
-    int pairs (x, y) = x + y*sqrt(D) over one common denominator, both sides
-    of each quotient are formed over Z[sqrt(D)], and each u_i is one
-    division, through the norm of its denominator.
+    in one field Q(sqrt(rad)); u_i has degree 0 in b, so b is cleared once to
+    int pairs (zz.cleared) and each u_i is one quotient over Z[sqrt(rad)],
+    divided through the norm of its denominator (zz.pair_quotient).
     """
     b = tuple(b)
     g = len(b) - 2
     if g < 2:
         raise ValueError("need at least four coefficients (genus >= 2)")
-    D, pairs = pairs_over_one_radicand(b)
-    ints, _ = _cleared(pairs)
-    b0, b1, bg, btop = (tuple(ints[i]) for i in (0, 1, g, g + 1))
+    rad, (ints, _) = zz.cleared(b)
+    b0, b1, bg, btop = (ints[i] for i in (0, 1, g, g + 1))
     if b0 == (0, 0) or btop == (0, 0):
         raise ZeroEndCoefficient("even model must have nonzero end coefficients")
-    rad = 0 if D is None else int(D)
-    b1_pow, bg_pow = _pair_powers(b1, g, rad), _pair_powers(bg, g, rad)
-    top_pow, b0_pow = _pair_powers(btop, g, rad), _pair_powers(b0, g, rad)
+    b1_pow, bg_pow = zz.pair_powers(b1, g, rad), zz.pair_powers(bg, g, rad)
+    top_pow, b0_pow = zz.pair_powers(btop, g, rad), zz.pair_powers(b0, g, rad)
     u = []
     for i in range(1, g + 1):
         m = g - i + 1
-        first = _pair_mul(_pair_mul(b1_pow[m], ints[i], rad), top_pow[m - 1], rad)
-        second = _pair_mul(_pair_mul(bg_pow[m], ints[g - i + 1], rad), b0_pow[m - 1], rad)
-        nx, ny = first[0] + second[0], first[1] + second[1]
-        qx, qy = _pair_mul(top_pow[m], b0_pow[m], rad)
-        # (nx + ny sqrt(D)) / (qx + qy sqrt(D)), through the conjugate of the divisor
-        norm = qx * qx - rad * qy * qy
-        re = Rational(nx * qx - rad * ny * qy, norm)
-        u.append(re if D is None else _make(re, Rational(ny * qx - nx * qy, norm), D))
+        first = zz.pair_mul(zz.pair_mul(b1_pow[m], ints[i], rad), top_pow[m - 1], rad)
+        second = zz.pair_mul(zz.pair_mul(bg_pow[m], ints[g - i + 1], rad), b0_pow[m - 1], rad)
+        num = first[0] + second[0], first[1] + second[1]
+        den = zz.pair_mul(top_pow[m], b0_pow[m], rad)
+        u.append(zz.to_field(*zz.pair_quotient(num, den, rad), rad))
     return DihedralInvariants(tuple(u), g)
 
 
@@ -320,7 +301,7 @@ def _transvectant(f, g, k: int):
     out = [0] * (m + n - 2 * k + 1)
     for j in range(k + 1):
         sign = -comb(k, j) if j % 2 else comb(k, j)
-        for i, c in enumerate(_zz_mul(partial(fc, m, k - j, j), partial(gc, n, j, k - j))):
+        for i, c in enumerate(zz.mul(partial(fc, m, k - j, j), partial(gc, n, j, k - j))):
             out[i] += sign * c
     den = fden * gden * factorial(m) * factorial(n) // (factorial(m - k) * factorial(n - k))
     return out, den

@@ -7,11 +7,11 @@ equality and hashing are plain componentwise checks.  The scaling inverts
 the lead entry once and multiplies, and is skipped when the lead is 1.
 
 Pullbacks run on Python ints.  The form and the map entries lie in Q or in
-one field Q(sqrt(D)); a value x + y*sqrt(D) is the pair (x, y), and a
+one field Q(sqrt(rad)); a value is an int pair in zz.py's format, and a
 polynomial the pair of its x and y coefficient lists.  Each side is cleared
-to Z[sqrt(D)] over one common denominator, and the rational scale
-(content of f)/L^n is applied once at the end.  The expansion is one
-homogeneous Horner at X = 2^k, read back as digits: a few big-integer
+to Z[sqrt(rad)] over its own common denominator (zz.cleared), and the
+rational scale (content of f)/L^n is applied once at the end.  The expansion
+is one homogeneous Horner at X = 2^k, read back as digits: a few big-integer
 products per coefficient, not a polynomial product (see
 _integer_pullback).  is_automorphism compares the two integer models by
 cross multiplication and never builds the pullback's field coefficients.
@@ -19,11 +19,12 @@ cross multiplication and never builds the pullback's field coefficients.
 
 from __future__ import annotations
 
-from math import gcd as igcd, isqrt, lcm
+from math import gcd as igcd, isqrt
 
 from .errors import DegreeTooSmall, IdentityMap, SingularModel, ZeroInput
-from .exact import QuadExt, Rational, _make, conj, pairs_over_one_radicand, sqrt_in_field
-from .poly import Poly, _coerce_coeff, _zz_digits, _zz_homogeneous
+from .exact import QuadExt, Rational, conj, sqrt_in_field
+from .poly import Poly, _coerce_coeff
+from . import zz
 
 
 class _Infinity:
@@ -205,29 +206,20 @@ def _canonical(entries):
     return [v * inv for v in entries]
 
 
-def _cleared(pairs):
-    """(ints, L): pairs[i] = ints[i] / L componentwise, L the least common denominator."""
-    # Star arguments here and below are lists: unpacking a generator into
-    # lcm or gcd raised peak RSS by about 1 MB over a few thousand calls.
-    L = lcm(*[int(q.denominator) for xy in pairs for q in xy])
-    return [[int(q.numerator) * (L // int(q.denominator)) for q in xy]
-            for xy in pairs], L
-
-
 def _integer_pullback(f: Poly, a, b, c, d, n: int):
-    """Integer models (F, G, D, scale) of f and of its pullback.
+    """Integer models (F, G, rad, scale) of f and of its pullback.
 
     f = content * F and (cX+d)^n f((aX+b)/(cX+d)) = scale * G, where
     scale = content / L^n and L clears the denominators of a, b, c, d.  F
     and G are pairs (x, y) of int lists of length n + 1, coefficient i being
-    x[i] + y[i]*sqrt(D); over Q, D is None and every y[i] is 0.  G is
-    sum_i F_i (AX + B)^i (CX + D')^(n-i) for the cleared entries, evaluated
-    once at X = 2^k (_zz_homogeneous) and read back as symmetric base-2^k
-    digits (_zz_digits), part by part (Kronecker substitution).  The width
-    k is safe: with s = isqrt(|D|) + 1 the norm |x| + s*|y| bounds both
-    parts of x + y*sqrt(D) and is submultiplicative, so summed over
+    x[i] + y[i]*sqrt(rad) (so every y[i] is 0 over Q, rad = 0).  G is
+    sum_i F_i (AX + B)^i (CX + D)^(n-i) for the cleared entries, evaluated
+    once at X = 2^k (zz.homogeneous) and read back as symmetric base-2^k
+    digits (zz.digits), part by part (Kronecker substitution).  The width
+    k is safe: with s = isqrt(|rad|) + 1 the norm |x| + s*|y| bounds both
+    parts of x + y*sqrt(rad) and is submultiplicative, so summed over
     coefficients it bounds every part of every G_j by
-    N(F) * N(AX + B)^n * N(CX + D')^n, and k is that bound's bit length
+    N(F) * N(AX + B)^n * N(CX + D)^n, and k is that bound's bit length
     plus 2, which leaves every |G_j| below 2^k / 4.
     """
     if f.is_zero():
@@ -235,10 +227,7 @@ def _integer_pullback(f: Poly, a, b, c, d, n: int):
     deg = f.degree()
     if n < deg:
         raise DegreeTooSmall(f"form degree {n} below polynomial degree {deg}")
-    D, pairs = pairs_over_one_radicand(f.coeffs + (a, b, c, d))
-    rad = 0 if D is None else int(D)
-    ints, den_f = _cleared(pairs[:-4])
-    (A, B, C, Dm), L = _cleared(pairs[-4:])
+    rad, (ints, den_f), ((A, B, C, D), L) = zz.cleared(f.coeffs, (a, b, c, d))
     content = igcd(*[v for xy in ints for v in xy])
     pad = [0] * (n - deg)
     F = [x // content for x, _ in ints] + pad, [y // content for _, y in ints] + pad
@@ -247,31 +236,24 @@ def _integer_pullback(f: Poly, a, b, c, d, n: int):
     def norm(*values):
         return sum(abs(x) + s * abs(y) for x, y in values)
 
-    k = (norm(*ints) // content * norm(A, B) ** n * norm(C, Dm) ** n).bit_length() + 2
+    k = (norm(*ints) // content * norm(A, B) ** n * norm(C, D) ** n).bit_length() + 2
     xi = 1 << k
-    gx, gy = _zz_homogeneous(*F, (A[0] * xi + B[0], A[1] * xi + B[1]),
-                             (C[0] * xi + Dm[0], C[1] * xi + Dm[1]), n, rad)
-    G = tuple(g + [0] * (n + 1 - len(g)) for g in (_zz_digits(gx, xi), _zz_digits(gy, xi)))
-    return F, G, D, Rational(content, den_f * L ** n)
-
-
-def _field_values(x, y, D, scale):
-    """The field elements scale * (x[i] + y[i]*sqrt(D))."""
-    p, q = int(scale.numerator), int(scale.denominator)
-    if D is None:
-        return [Rational(u * p, q) for u in x]
-    return [_make(Rational(u * p, q), Rational(v * p, q), D) for u, v in zip(x, y)]
+    gx, gy = zz.homogeneous(*F, (A[0] * xi + B[0], A[1] * xi + B[1]),
+                            (C[0] * xi + D[0], C[1] * xi + D[1]), n, rad)
+    G = tuple(g + [0] * (n + 1 - len(g)) for g in (zz.digits(gx, xi), zz.digits(gy, xi)))
+    return F, G, rad, Rational(content, den_f * L ** n)
 
 
 def pullback_coeffs(f: Poly, a, b, c, d, n: int) -> Poly:
     """(cX+d)^n * f((aX+b)/(cX+d)) as a polynomial of formal degree n.
 
-    f and the entries lie in Q or in one quadratic field Q(sqrt(D)).  The
+    f and the entries lie in Q or in one quadratic field Q(sqrt(rad)).  The
     expansion runs on the integer models of _integer_pullback and is scaled
     back once at the end.
     """
-    _, (gx, gy), D, scale = _integer_pullback(f, a, b, c, d, n)
-    return Poly(_field_values(gx, gy, D, scale))
+    _, (gx, gy), rad, scale = _integer_pullback(f, a, b, c, d, n)
+    p, q = scale.numerator, scale.denominator
+    return Poly([zz.to_field(x * p, y * p, q, rad) for x, y in zip(gx, gy)])
 
 
 def pullback_form(f: Poly, m: MoebiusMap, n: int) -> Poly:
@@ -284,18 +266,17 @@ def is_automorphism(f: Poly, m: MoebiusMap, n: int):
     Decided on the integer models f = content * F and g = scale * G of f
     and its pullback: with k the lowest index where F_k != 0, g is a
     nonzero multiple of f exactly when G_k != 0 and G_i F_k = F_i G_k for
-    every i.  Over Q(sqrt(D)) both sides of each product are compared part
-    by part, which is exact since sqrt(D) is irrational.  lam = g_k / f_k
-    is formed only once that check has passed.
+    every i.  Over Q(sqrt(rad)) both sides of each product are compared
+    part by part, which is exact since sqrt(rad) is irrational.
+    lam = g_k / f_k is formed only once that check has passed.
     """
-    (fx, fy), (gx, gy), D, scale = _integer_pullback(f, m.a, m.b, m.c, m.d, n)
-    rad = 0 if D is None else int(D)
+    (fx, fy), (gx, gy), rad, scale = _integer_pullback(f, m.a, m.b, m.c, m.d, n)
     k = next(i for i, c in enumerate(f.coeffs) if c)
-    p, q, r, s = fx[k], fy[k], gx[k], gy[k]  # F_k = p + q*sqrt(D), G_k = r + s*sqrt(D)
+    p, q, r, s = fx[k], fy[k], gx[k], gy[k]  # F_k = p + q*sqrt(rad), G_k = r + s*sqrt(rad)
     if not (r or s):
         return None
     for x, y, u, v in zip(gx, gy, fx, fy):
         if x * p + rad * y * q != u * r + rad * v * s or x * q + y * p != u * s + v * r:
             return None
-    gk = _field_values([r], [s], D, scale)[0]
-    return gk / f.coeffs[k]
+    lam = zz.to_field(r * scale.numerator, s * scale.numerator, scale.denominator, rad)
+    return lam / f.coeffs[k]

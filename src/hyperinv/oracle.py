@@ -23,8 +23,9 @@ from .errors import ToleranceAmbiguity, UnknownSignature
 from .exact import Rational
 from .invariants import _GENUS2_ORDERS, GroupLabel
 from .moebius import INFINITY
-from .poly import _zz_homogeneous, numeric_roots
+from .poly import numeric_roots
 from .record import frozen_record
+from . import zz
 
 _GENUS2_LABELS = {n: name for name, n in _GENUS2_ORDERS.items()}
 
@@ -148,13 +149,13 @@ def _dyadic(z):
 def _exact_magnitude(ints, content, a, b, k):
     """|content · f((a + bi) / 2^k)| for the int coefficients of f.
 
-    A homogeneous Horner over the Gaussian integers (_zz_homogeneous at
+    A homogeneous Horner over the Gaussian integers (zz.homogeneous at
     u = a + bi, v = 2^k) gives 2^(k·deg) times the value exactly.  Each
     part is then rounded once by int true division, which is correctly
     rounded, as Fraction.__float__ is.
     """
     deg = len(ints) - 1
-    re, im = _zz_homogeneous(ints, (), (a, b), (1 << k, 0), deg, -1)
+    re, im = zz.homogeneous(ints, (), (a, b), (1 << k, 0), deg, -1)
     num, den = content.numerator, content.denominator << (k * deg)
     return math.hypot(num * re / den, num * im / den)
 

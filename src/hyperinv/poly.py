@@ -12,23 +12,23 @@ split three ways:
                         discovered and exactly certified
   numeric_roots         double-precision roots for the numeric oracle
 
-Rational polynomials run as integer models (primitive dense ascending int
-lists with positive leading coefficient): root finding, square-free parts
-and gcd convert at the Poly boundary and then only divide exactly in
-Z[x].  gcd runs the heuristic GCDHEU with a primitive-PRS fallback; Euclid
-over the coefficient field remains for QuadExt coefficients.  The resultant
-takes bivariate integer input in Z[a][b] (lists of int lists) with one
-argument linear in b, and a closed form gives it.
+Rational polynomials run as integer models, zz.py's int lists: root
+finding, square-free parts and gcd convert at the Poly boundary
+(integer_model) and then compute in Z[x] with zz; Euclid over the
+coefficient field remains for QuadExt coefficients.  The resultant takes
+bivariate integer input in Z[a][b] (lists of int lists) with one argument
+linear in b, and a closed form gives it.
 """
 
 from __future__ import annotations
 
-from math import atan2, gcd as igcd, isqrt, lcm
+from math import atan2, isqrt
 
 from ._kernel import durand_kerner
 from .errors import (BothZero, NonConvergence,
                      ReconstructionInconclusive, ZeroInput)
 from .exact import QuadExt, Rational, rat, scalar_to_complex, sort_key
+from . import zz
 
 NEG_INF = float("-inf")
 
@@ -227,16 +227,12 @@ class Poly:
         """
         if self.is_zero():
             return [], Rational(0)
-        cs = [rat(c) for c in self.coeffs]
-        den = lcm(*[int(c.denominator) for c in cs])  # a list: see moebius._cleared
-        nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
-        g = igcd(*nums)
-        nums = [v // g for v in nums]
-        sign = 1
-        if nums[-1] < 0:
-            nums = [-v for v in nums]
-            sign = -1
-        return nums, Rational(sign * g, den)
+        rad, (pairs, den) = zz.cleared(self.coeffs)
+        if rad:
+            raise ValueError("an integer model needs rational coefficients")
+        nums = [x for x, _ in pairs]
+        ints = zz.primitive(nums)
+        return ints, Rational(nums[-1] // ints[-1], den)
 
     def reverse(self):
         """Coefficient reversal X^deg * p(1/X)."""
@@ -285,174 +281,18 @@ def constant(c):
     return Poly([c])
 
 
-# --- dense integer polynomials: ascending int lists, no trailing zeros ---
-
-def _zz_strip(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _zz_add(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return _zz_strip(out)
-
-
-def _zz_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, c in enumerate(f):
-        if c:
-            for j, d in enumerate(g):
-                out[i + j] += c * d
-    return out
-
-
-def _zz_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _zz_homogeneous(cx, cy, u, v, n, rad):
-    """sum_i (cx[i] + cy[i]*sqrt(rad)) * u^i * v^(n-i) as an int pair (x, y).
-
-    u and v are int pairs x + y*sqrt(rad); cx and cy are int lists of
-    length at most n + 1, missing entries read as 0 (cy may be empty).
-    One Horner pass in u from i = n down carries the powers of v, so a
-    form of degree below n gets its factor v^(n - deg) with no extra step.
-    """
-    (ux, uy), (vx, vy) = u, v
-    x = y = 0
-    px, py = 1, 0  # v^(n - i)
-    for i in range(n, -1, -1):
-        x, y = x * ux + rad * y * uy, x * uy + y * ux
-        c = cx[i] if i < len(cx) else 0
-        d = cy[i] if i < len(cy) else 0
-        if c or d:
-            x, y = x + c * px + rad * d * py, y + c * py + d * px
-        if i:
-            px, py = px * vx + rad * py * vy, px * vy + py * vx
-    return x, y
-
-
-def _zz_digits(v, xi):
-    """The symmetric xi-adic digits of v, lowest first, each in (-xi/2, xi/2].
-
-    Needs xi >= 3: in base 2 a negative v has no such digits.
-    """
-    half, out = xi // 2, []
-    while v:
-        c = v % xi
-        if c > half:
-            c -= xi
-        out.append(c)
-        v = (v - c) // xi
-    return out
-
-
-def _zz_primitive(f):
-    """f over its content, leading coefficient made positive."""
-    if not f:
-        return f
-    g = igcd(*f)
-    if f[-1] < 0:
-        g = -g
-    return [c // g for c in f]
-
-
-def _zz_quo(f, h):
-    """f / h for a primitive h dividing f in Z[x] (equivalently in Q[x]), else None."""
-    rem, dh, lc = list(f), len(h) - 1, h[-1]
-    q = [0] * (len(f) - dh)
-    for k in range(len(rem) - 1 - dh, -1, -1):
-        if rem[k + dh]:
-            q[k], r = divmod(rem[k + dh], lc)
-            if r:
-                return None
-            for i in range(dh):
-                rem[k + i] -= q[k] * h[i]
-    return None if any(rem[:dh]) else q
-
-
-def _zz_peel(f, h):
-    """(k, f / h^k) for the largest k with h^k dividing f; h primitive, nonconstant."""
-    k = 0
-    while (q := _zz_quo(f, h)) is not None:
-        k, f = k + 1, q
-    return k, f
-
-
-def _zz_prs_gcd(f, g):
-    """gcd of primitive f, g by the primitive remainder sequence."""
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r, dg = list(f), len(g) - 1
-        while len(r) > dg:  # pseudo-division by g, up to a positive factor
-            c, s = r[-1], len(r) - 1 - dg
-            r = [g[-1] * v for v in r]
-            for i, gi in enumerate(g):
-                r[s + i] -= c * gi
-            _zz_strip(r)
-        f, g = g, _zz_primitive(r)
-    return f
-
-
-_HEU_TRIES = 6
-
-
-def _zz_heu_gcd(f, g):
-    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive f, g of degree >= 1.
-
-    Interpolates h from the symmetric xi-adic digits of igcd(f(xi), g(xi))
-    and returns its primitive part P when P divides f and g; None when every
-    evaluation point fails.  Such a P is the gcd: if gcd = P*r, then r(xi)
-    divides the content of h, which is at most xi/2.  A nonconstant r has
-    only roots shared by f and g, of modulus below T + 2 by Cauchy's bound
-    with T = min(|f|/|lc f|, |g|/|lc g|), so |r(xi)| > xi - T - 2 >= xi/2
-    since xi >= 2T + 4.
-    """
-    fn, gn = max(map(abs, f)), max(map(abs, g))
-    low = min(fn, gn)
-    xi = max(min(low, 99 * isqrt(low)), 2 * min(fn // abs(f[-1]), gn // abs(g[-1]))) + 4
-    for _ in range(_HEU_TRIES):
-        fv, gv = _zz_eval(f, xi), _zz_eval(g, xi)
-        if fv and gv:
-            h = _zz_primitive(_zz_digits(igcd(fv, gv), xi))
-            if _zz_quo(f, h) is not None and _zz_quo(g, h) is not None:
-                return h
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-    return None
-
-
-def _zz_gcd(f, g):
-    """gcd of integer models (primitive, positive leads), not both zero."""
-    if not f or not g:
-        return f or g
-    if len(f) == 1 or len(g) == 1:
-        return [1]
-    return _zz_heu_gcd(f, g) or _zz_prs_gcd(f, g)
-
-
 # --- gcd and resultant ---
 
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor over the coefficient field.
 
-    Rational inputs go through their integer models and _zz_gcd; others
+    Rational inputs go through their integer models and zz.gcd; others
     (QuadExt coefficients) through Euclid over the field.
     """
     if p.is_zero() and q.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     if all(isinstance(c, Rational) for c in p.coeffs + q.coeffs):
-        h = _zz_gcd(p.integer_model()[0], q.integer_model()[0])
+        h = zz.gcd(p.integer_model()[0], q.integer_model()[0])
         return Poly([Rational(c, h[-1]) for c in h])
     return _field_gcd(p, q)
 
@@ -477,8 +317,8 @@ def resultant(p, q) -> Poly:
     Res(p1*b + p0, E) = sum_k E_k (-p0)^k p1^(m-k) for E of degree m in b,
     and Res(E, p1*b + p0) = (-1)^m Res(p1*b + p0, E).
     """
-    p = _zz_strip([_zz_strip(list(row)) for row in p])
-    q = _zz_strip([_zz_strip(list(row)) for row in q])
+    p = zz.strip([zz.strip(list(row)) for row in p])
+    q = zz.strip([zz.strip(list(row)) for row in q])
     if not p or not q:
         raise ZeroInput("resultant of the zero polynomial")
     if len(p) == 2:
@@ -490,8 +330,8 @@ def resultant(p, q) -> Poly:
     neg_p0, p1 = [-c for c in lin[0]], lin[1]
     acc, p1_pow = other[-1], [1]
     for row in reversed(other[:-1]):
-        p1_pow = _zz_mul(p1_pow, p1)
-        acc = _zz_add(_zz_mul(acc, neg_p0), _zz_mul(row, p1_pow))
+        p1_pow = zz.mul(p1_pow, p1)
+        acc = zz.add(zz.mul(acc, neg_p0), zz.mul(row, p1_pow))
     return Poly([sign * c for c in acc])
 
 
@@ -543,12 +383,6 @@ def det_bareiss(rows):
 
 # --- root finding ---
 
-def _square_free_model(f):
-    """Square-free part of the integer model f, degree >= 1, as an integer model."""
-    g = _zz_gcd(f, _zz_primitive([i * c for i, c in enumerate(f)][1:]))
-    return f if len(g) == 1 else _zz_quo(f, g)
-
-
 def _padic_roots(f):
     """Candidate rational roots of the square-free integer model f, by p-adic lifting.
 
@@ -567,15 +401,15 @@ def _padic_roots(f):
         if lc % p == 0 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             continue
         fp = [c % p for c in f]
-        start = [x for x in range(p) if _zz_eval(fp, x) % p == 0]
-        if all(_zz_eval(df, x) % p for x in start):
+        start = [x for x in range(p) if zz.evaluate(fp, x) % p == 0]
+        if all(zz.evaluate(df, x) % p for x in start):
             break
     bound, out = 2 * (lc + max(map(abs, f))), []
     for x in start:
         m = p
         while m <= bound:
             m *= m
-            x = (x - _zz_eval(f, x) * pow(_zz_eval(df, x), -1, m)) % m
+            x = (x - zz.evaluate(f, x) * pow(zz.evaluate(df, x), -1, m)) % m
         n = lc * x % m
         out.append(Rational(n - m if n > m // 2 else n, lc))
     return out
@@ -589,7 +423,7 @@ def _peel_roots(f, candidates):
     """
     roots = []
     for r in candidates:
-        k, f = _zz_peel(f, [-r.numerator, r.denominator])
+        k, f = zz.peel(f, [-r.numerator, r.denominator])
         roots += [r] * k
     return sorted(roots), f
 
@@ -606,7 +440,7 @@ def rational_roots(p: Poly):
     if p.degree() < 1:
         return []
     f = p.integer_model()[0]
-    return _peel_roots(f, _padic_roots(_square_free_model(f)))[0]
+    return _peel_roots(f, _padic_roots(zz.square_free(f)))[0]
 
 
 def _mpf_to_rational(x):
@@ -679,7 +513,7 @@ def quad_irrational_roots(p: Poly):
     work = _peel_roots(p.integer_model()[0], dict.fromkeys(out))[1]
     if len(work) < 3:
         return out
-    sints = _square_free_model(work)
+    sints = zz.square_free(work)
     roots, err = _certified_roots(sints)
     bound = abs(sints[-1])
     # Pair sums and products are formed exactly from the roots' binary
@@ -699,8 +533,7 @@ def quad_irrational_roots(p: Poly):
                 continue
             seen.add((t, n))
             # work has no rational root left, so a quadratic factor is irreducible
-            d = lcm(t.denominator, n.denominator)
-            mult = _zz_peel(work, [int(n * d), int(-t * d), d])[0]
+            mult = zz.peel(work, Poly([n, -t, 1]).integer_model()[0])[0]
             if not mult:
                 continue
             disc, half = t * t - 4 * n, Rational(1, 2)

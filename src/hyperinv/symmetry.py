@@ -34,16 +34,15 @@ from .errors import (
     ReconstructionInconclusive,
     SearchInconclusive,
 )
-from .exact import (QuadExt, Rational, _make, conj, is_square, pairs_over_one_radicand,
-                    sort_key)
-from .moebius import INFINITY, MoebiusMap, _cleared, is_automorphism
+from .exact import QuadExt, Rational, conj, is_square, sort_key
+from .moebius import INFINITY, MoebiusMap, is_automorphism
 # pullback_coeffs stays importable from here: perfbench/spans.py wraps this name
 from .moebius import pullback_coeffs  # noqa: F401
-# gcd stays importable from here: perfbench/spans.py wraps this name
+# gcd (poly.gcd, not zz.gcd) stays importable from here: perfbench/spans.py wraps this name
 from .poly import gcd  # noqa: F401
-from .poly import (Poly, _square_free_model, _zz_add, _zz_gcd, _zz_homogeneous, _zz_mul,
-                   _zz_primitive, _zz_quo, _zz_strip, quad_irrational_roots, resultant)
+from .poly import Poly, quad_irrational_roots, resultant
 from .record import frozen_record
+from . import zz
 
 
 @frozen_record
@@ -99,22 +98,18 @@ def _fixes_branch(f, m: MoebiusMap) -> bool:
     """Whether m fixes a branch point of Y^2 = F, F the rational even model.
 
     Infinity is no branch point of the even model, so only the finite fixed
-    points count: the roots of fix = cX^2 + (d - a)X - b, over Q or Q(sqrt(D)).
-    Written fix = U + sqrt(D)*V with U, V rational (V = 0 over Q), the norm
-    form N = fix * conj(fix) = U^2 - D*V^2 is rational, and it is formed on
-    int lists over the common denominator of fix's coefficients.  F shares
-    a root with N exactly when it shares one with fix: a root r of
+    points count: the roots of fix = cX^2 + (d - a)X - b, over Q(sqrt(rad)).
+    Written fix = U + sqrt(rad)*V with U, V rational (V = 0 over Q), the
+    norm form N = fix * conj(fix) = U^2 - rad*V^2 is rational, and it is
+    formed on int lists over fix's common denominator.  F shares a root
+    with N exactly when it shares one with fix: a root r of
     conj(fix) with F(r) = 0 gives the root sigma(r) of fix with
     F(sigma(r)) = sigma(F(r)) = 0, sigma extending the conjugation.  The
     gcd is taken on int lists, against F's integer model f.
     """
     a, b, c, d = m.entries()
-    D, pairs = pairs_over_one_radicand([-b, d - a, c])
-    ints, _ = _cleared(pairs)
-    U, V = _zz_strip([x for x, _ in ints]), _zz_strip([y for _, y in ints])
-    rad = 0 if D is None else int(D)
-    N = _zz_add(_zz_mul(U, U), [-rad * v for v in _zz_mul(V, V)])
-    return len(_zz_gcd(f, _zz_primitive(N))) > 1
+    rad, (ints, _) = zz.cleared([-b, d - a, c])
+    return len(zz.gcd(f, zz.primitive(zz.norm_form(*zip(*ints), rad)))) > 1
 
 
 def _certificate(f, m: MoebiusMap, lam) -> InvolutionCertificate:
@@ -166,7 +161,7 @@ def _involution_equations(f, n: int):
                     term = fn * fi * comb(i, e) * comb(n - i, k - i + e)
                     rows[e][n - k + i - 2 * e] += -term if (n - k - e) % 2 else term
         rows[0] = [c - f[k] * fc for c, fc in zip(rows[0], f + tail)]
-        rows = _zz_strip([_zz_strip(row) for row in rows])
+        rows = zz.strip([zz.strip(row) for row in rows])
         if rows:
             yield rows
 
@@ -211,8 +206,8 @@ def _off_branch(D, F):
     of an even-degree model, so no root of F is a parameter a.  D and F are
     integer models; so is the result.
     """
-    while len(D) > 1 and len(common := _zz_gcd(D, F)) > 1:
-        D = _zz_quo(D, common)
+    while len(D) > 1 and len(common := zz.gcd(D, F)) > 1:
+        D = zz.quo(D, common)
     return D
 
 
@@ -232,24 +227,19 @@ def _b_values(eqs, a0) -> list:
       and f(a0) != 0 (_off_branch), so a0 = -f_(n-1)/(n*fn) is rational.
       Only here are the remaining equations specialised, at a rational a0,
       and the roots of their gcd over Q are the solutions.
-    a0 = (x + y*sqrt(D))/L is cleared to ints, p0 and p1 are evaluated
-    homogeneously over Z[sqrt(D)], and b0 is built once, over the norm of
+    a0 = (x + y*sqrt(rad))/L is cleared to ints, p0 and p1 are evaluated
+    homogeneously over Z[sqrt(rad)], and b0 is built once, over the norm of
     p1(a0).  At the rational a0 = x/L the other equations go through
     _pivot_gcd.
     """
-    D, pairs = pairs_over_one_radicand([a0])
-    [xy], L = _cleared(pairs)
-    rad = 0 if D is None else int(D)
+    rad, ([xy], L) = zz.cleared([a0])
     p0, p1 = eqs.pivot
     K = max(len(p0), len(p1)) - 1
-    u0, v0 = _zz_homogeneous(p0, (), xy, (L, 0), K, rad)
-    u1, v1 = _zz_homogeneous(p1, (), xy, (L, 0), K, rad)
+    u0, v0 = zz.homogeneous(p0, (), xy, (L, 0), K, rad)
+    u1, v1 = zz.homogeneous(p1, (), xy, (L, 0), K, rad)
     if u1 or v1:
-        # -(u0 + v0 sqrt(D)) / (u1 + v1 sqrt(D)), through the conjugate of the divisor
-        norm = u1 * u1 - rad * v1 * v1
-        re, im = Rational(rad * v0 * v1 - u0 * u1, norm), Rational(u0 * v1 - v0 * u1, norm)
-        return [re if D is None else _make(re, im, D)]
-    if u0 or v0 or D is not None:
+        return [zz.to_field(*zz.pair_quotient((-u0, -v0), (u1, v1), rad), rad)]
+    if u0 or v0 or rad:
         return []  # p0(a0) != 0, the case above: both vanish only at a rational a0
     g = _pivot_gcd(eqs, xy[0], L)
     if g is None or len(g) == 1:
@@ -269,9 +259,9 @@ def _pivot_gcd(eqs, x: int, L: int):
     g = None
     for E in eqs.rest():
         K = max(map(len, E)) - 1
-        q = _zz_strip([_zz_homogeneous(row, (), (x, 0), (L, 0), K, 0)[0] for row in E])
+        q = zz.strip([zz.homogeneous(row, (), (x, 0), (L, 0), K, 0)[0] for row in E])
         if q:
-            g = _zz_primitive(q) if g is None else _zz_gcd(g, _zz_primitive(q))
+            g = zz.primitive(q) if g is None else zz.gcd(g, zz.primitive(q))
             if len(g) == 1:
                 break
     return g
@@ -299,16 +289,16 @@ def _count_over_qbar(f, eqs, D, c0: bool) -> int:
     if len(D) == 1:
         return count
     p1 = eqs.pivot[1]
-    rest = _square_free_model(D)
-    count += len(rest) - len(_zz_gcd(rest, _zz_primitive(p1)))
+    rest = zz.square_free(D)
+    count += len(rest) - len(zz.gcd(rest, zz.primitive(p1)))
     n = len(f) - 1
     a0 = Rational(-f[n - 1], n * f[n])
     x, L = a0.numerator, a0.denominator
     # n*fn*a0 + f_(n-1) = 0 leaves p0(a0) = a0^2 * p1(a0): both vanish where p1 does
-    if _zz_homogeneous(p1, (), (x, 0), (L, 0), len(p1) - 1, 0)[0] == 0:
+    if zz.homogeneous(p1, (), (x, 0), (L, 0), len(p1) - 1, 0)[0] == 0:
         g = _pivot_gcd(eqs, x, L)
         if g is not None and len(g) > 1:
-            count += len(_square_free_model(g)) - 1
+            count += len(zz.square_free(g)) - 1
     return count
 
 
@@ -390,11 +380,11 @@ def detect_involutions(curve) -> list:
     for E in eqs.rest():
         r = E[0] if len(E) == 1 else [c.numerator for c in resultant(pivot, E).coeffs]
         if r:
-            r = _zz_primitive(r)
+            r = zz.primitive(r)
             # F's factors leave the first resultant once: every divisor of
             # a polynomial coprime to F is coprime to F, so the later gcds
             # need no second pass
-            D = _off_branch(r, f) if D is None else _zz_gcd(D, r)
+            D = _off_branch(r, f) if D is None else zz.gcd(D, r)
             if len(D) == 1:
                 break
     if D is None:

@@ -295,6 +295,21 @@ class TestErrorHandling:
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"curve": {"coefficients": ["1/0", "0", "0", "0", "0", "1"]}},
+        {"curve": {"coefficients": ["1", "0", "0", "0", "0", {"a": "1", "b": "1", "d": "2/0"}]}},
+        {"curve": "x"},
+    ], ids=["zero-denominator", "zero-denominator-in-radicand", "curve-not-an-object"])
+    def test_malformed_curve_is_invalid_input(self, doc, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["classify", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["flags"] == ["value-error"]
+
+    def test_zero_denominator_in_u_is_invalid_input(self, capsys):
+        assert cli.main(["rational-model", "--u", "1/0,2"]) == 1
+        assert json.loads(capsys.readouterr().out)["flags"] == ["value-error"]
+
     def test_reports_name_the_package_version(self, tmp_path):
         ok = run_cli("candidates", "--genus", "5")
         invalid = run_cli("classify", str(write_curve(tmp_path, [1, 1])))

@@ -40,3 +40,36 @@ def test_no_unused_imports(path):
     found = [(line, name) for line, name in unused_imports(path.read_text())
              if (path.stem, name) not in ALLOWED]
     assert found == [], f"{path.name}: unused imports {found}"
+
+
+# Names that mark int-list or int-pair arithmetic, which zz.py alone defines:
+# its prefixes, and the clearing, exit and square-free helpers it replaced.
+ZZ_PREFIXES = ("_zz_", "zz_", "_pair_", "pair_")
+ZZ_HELPERS = {"_cleared", "cleared", "_field_values", "to_field",
+              "pairs_over_one_radicand", "_square_free_model", "square_free"}
+
+
+def integer_arithmetic_names(source: str):
+    """Top-level functions defined, and names imported, that mark zz.py's arithmetic."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            names += [alias.asname or alias.name for alias in node.names]
+    return sorted(n for n in names if n.startswith(ZZ_PREFIXES) or n in ZZ_HELPERS)
+
+
+def test_detects_integer_arithmetic():
+    source = ("from .poly import _zz_gcd, gcd\n"
+              "def _cleared(pairs): pass\n"
+              "def _pair_mul(u, v, rad): pass\n"
+              "def norm(x): pass\n")
+    assert integer_arithmetic_names(source) == ["_cleared", "_pair_mul", "_zz_gcd"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "zz.py"],
+                         ids=lambda p: p.name)
+def test_integer_arithmetic_lives_in_zz(path):
+    found = integer_arithmetic_names(path.read_text())
+    assert found == [], f"{path.name} defines or imports zz arithmetic: {found}"

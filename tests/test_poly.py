@@ -24,7 +24,8 @@ from hyperinv.poly import (
     resultant,
     variable,
 )
-from hyperinv.poly import _field_gcd, _zz_heu_gcd, _zz_homogeneous, _zz_prs_gcd
+from hyperinv import zz
+from hyperinv.poly import _field_gcd
 from hyperinv.exact import Rational
 
 
@@ -190,7 +191,7 @@ class TestHomogeneous:
             cy = [] if rad == 0 else [rng.randint(-99, 99) for _ in range(rng.randint(0, len(cx)))]
             u = (rng.randint(-10**20, 10**20), 0 if rad == 0 else rng.randint(-9, 9))
             v = (rng.randint(1, 10**6), 0 if rad == 0 else rng.randint(-9, 9))
-            got = _zz_homogeneous(cx, cy, u, v, n, rad)
+            got = zz.homogeneous(cx, cy, u, v, n, rad)
             if rad == 0:
                 want = sum(c * u[0] ** i * v[0] ** (n - i) for i, c in enumerate(cx))
                 assert got == (want, 0)
@@ -257,9 +258,9 @@ class TestGcd:
         assert gcd(a, b) == want
         assert want.degree() >= h.degree()
         ia, ib = a.integer_model()[0], b.integer_model()[0]
-        from_prs = _zz_prs_gcd(ia, ib)
+        from_prs = zz.prs_gcd(ia, ib)
         assert Poly(from_prs).monic() == want
-        from_heu = _zz_heu_gcd(ia, ib)
+        from_heu = zz.heu_gcd(ia, ib)
         assert from_heu is None or from_heu == from_prs
 
     def test_square_free(self):
@@ -268,7 +269,7 @@ class TestGcd:
         assert not is_square_free((x - 1) ** 2 * (x + 2))
 
     def test_prs_fallback_when_every_evaluation_fails(self, monkeypatch):
-        monkeypatch.setattr(poly_module, "_HEU_TRIES", 0)
+        monkeypatch.setattr(zz, "_HEU_TRIES", 0)
         rng = random.Random(37)
         for _ in range(20):
             h, p, q = (_random_poly(rng, 3) for _ in range(3))

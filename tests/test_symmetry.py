@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import hyperinv.poly as poly_module
 import hyperinv.symmetry as symmetry
+from hyperinv import zz
 from hyperinv.curve import to_even_degree, transform
 from hyperinv.errors import FixedBranchPoint, HyperinvError, SearchInconclusive
 from hyperinv.exact import QuadExt
@@ -490,8 +491,8 @@ def _chain_length(eqs, f):
     for k, E in enumerate(eqs[1:], start=2):
         r = E[0] if len(E) == 1 else [c.numerator for c in resultant(eqs[0], E).coeffs]
         if r:
-            r = symmetry._zz_primitive(r)
-            D = symmetry._off_branch(r if D is None else symmetry._zz_gcd(D, r), f)
+            r = zz.primitive(r)
+            D = symmetry._off_branch(r if D is None else zz.gcd(D, r), f)
             if len(D) == 1:
                 return k
     return len(eqs)
