@@ -56,12 +56,17 @@ def scalar_to_json(x):
     return str(x)
 
 
-def scalar_from_json(v):
-    if isinstance(v, dict):
-        return QuadExt(v["a"], v["b"], v["d"])
-    if isinstance(v, (str, int)):
+def _rational_from_json(v):
+    # a JSON true or false arrives as a bool, which is an int
+    if isinstance(v, (str, int)) and not isinstance(v, bool):
         return rat(v)
     raise ValueError(f"cannot parse scalar from {v!r}")
+
+
+def scalar_from_json(v):
+    if isinstance(v, dict):
+        return QuadExt(*[_rational_from_json(v[k]) for k in "abd"])
+    return _rational_from_json(v)
 
 
 def curve_to_json(curve):

@@ -11,10 +11,11 @@ one field Q(sqrt(rad)); a value is an int pair in zz.py's format, and a
 polynomial the pair of its x and y coefficient lists.  Each side is cleared
 to Z[sqrt(rad)] over its own common denominator (zz.cleared), and the
 rational scale (content of f)/L^n is applied once at the end.  The expansion
-is one homogeneous Horner at X = 2^k, read back as digits: a few big-integer
-products per coefficient, not a polynomial product (see
-_integer_pullback).  is_automorphism compares the two integer models by
-cross multiplication and never builds the pullback's field coefficients.
+is one homogeneous Horner at X = 2^k, read back as base-2^k digits
+(zz.unpack): a few big-integer products per coefficient, not a polynomial
+product (see _integer_pullback).  is_automorphism compares the two integer
+models by cross multiplication and never builds the pullback's field
+coefficients.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _integer_pullback(f: Poly, a, b, c, d, n: int):
     x[i] + y[i]*sqrt(rad) (so every y[i] is 0 over Q, rad = 0).  G is
     sum_i F_i (AX + B)^i (CX + D)^(n-i) for the cleared entries, evaluated
     once at X = 2^k (zz.homogeneous) and read back as symmetric base-2^k
-    digits (zz.digits), part by part (Kronecker substitution).  The width
+    digits (zz.unpack), part by part (Kronecker substitution).  The width
     k is safe: with s = isqrt(|rad|) + 1 the norm |x| + s*|y| bounds both
     parts of x + y*sqrt(rad) and is submultiplicative, so summed over
     coefficients it bounds every part of every G_j by
@@ -240,7 +241,7 @@ def _integer_pullback(f: Poly, a, b, c, d, n: int):
     xi = 1 << k
     gx, gy = zz.homogeneous(*F, (A[0] * xi + B[0], A[1] * xi + B[1]),
                             (C[0] * xi + D[0], C[1] * xi + D[1]), n, rad)
-    G = tuple(g + [0] * (n + 1 - len(g)) for g in (zz.digits(gx, xi), zz.digits(gy, xi)))
+    G = tuple(g + [0] * (n + 1 - len(g)) for g in (zz.unpack(gx, k), zz.unpack(gy, k)))
     return F, G, rad, Rational(content, den_f * L ** n)
 
 

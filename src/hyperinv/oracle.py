@@ -171,7 +171,7 @@ def _check_root_accuracy(F, roots, tol):
     if not all(isinstance(c, Rational) for c in F.coeffs):
         return  # exact re-evaluation is only defined for rational models
     ints, content = F.integer_model()
-    dints = [j * c for j, c in enumerate(ints)][1:]
+    dints = zz.derivative(ints)
     for z in roots:
         a, b, k = _dyadic(z)
         fmag = _exact_magnitude(ints, content, a, b, k)

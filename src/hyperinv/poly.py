@@ -17,12 +17,16 @@ finding, square-free parts and gcd convert at the Poly boundary
 (integer_model) and then compute in Z[x] with zz; Euclid over the
 coefficient field remains for QuadExt coefficients.  The resultant takes
 bivariate integer input in Z[a][b] (lists of int lists) with one argument
-linear in b, and a closed form gives it.
+linear in b.  Its closed form in Z[a] runs by Kronecker substitution: every
+polynomial in a is packed into one integer at a = 2^w (zz.pack), the sum is
+one Horner pass of big-integer products, and the result is read back once
+as base-2^w digits (zz.unpack).  Inputs sparse in a, all of the form
+a^o g(a^e), are packed in a^e (exponent compression).
 """
 
 from __future__ import annotations
 
-from math import atan2, isqrt
+from math import atan2, gcd as igcd, isqrt
 
 from ._kernel import durand_kerner
 from .errors import (BothZero, NonConvergence,
@@ -316,6 +320,17 @@ def resultant(p, q) -> Poly:
     over the root multisets in b.  For the linear one p1*b + p0,
     Res(p1*b + p0, E) = sum_k E_k (-p0)^k p1^(m-k) for E of degree m in b,
     and Res(E, p1*b + p0) = (-1)^m Res(p1*b + p0, E).
+
+    The sum runs on Python ints (Kronecker substitution): each polynomial
+    in a is packed at a = 2^w, the Horner pass multiplies big integers, and
+    the result is read back once as symmetric base-2^w digits.  Exponent
+    compression: with e the gcd of the exponent gaps inside each input,
+    every input f is a^o f~(a^e), o its lowest exponent.  When the lowest
+    exponents t_k of the terms E_k (-p0)^k p1^(m-k) all equal r mod e, the
+    sum is a^r H(a^e) with H(A) = sum_k A^((t_k - r)/e) E~_k (-p0)~^k p1~^(m-k),
+    and A = 2^w is packed in place of a; otherwise e = 1, the dense case.
+    No coefficient of H exceeds B = sum_k |E_k|_1 |p0|_1^k |p1|_1^(m-k) in
+    absolute value, so w = bitlen(B) + 2 reads each one as a digit.
     """
     p = zz.strip([zz.strip(list(row)) for row in p])
     q = zz.strip([zz.strip(list(row)) for row in q])
@@ -327,12 +342,34 @@ def resultant(p, q) -> Poly:
         lin, other, sign = q, p, (-1) ** (len(p) - 1)
     else:
         raise ValueError("integer resultant needs an argument linear in b")
-    neg_p0, p1 = [-c for c in lin[0]], lin[1]
-    acc, p1_pow = other[-1], [1]
-    for row in reversed(other[:-1]):
-        p1_pow = zz.mul(p1_pow, p1)
-        acc = zz.add(zz.mul(acc, neg_p0), zz.mul(row, p1_pow))
-    return Poly([sign * c for c in acc])
+    m = len(other) - 1
+    inputs = [[-c for c in lin[0]], lin[1], *other]
+    support = [[i for i, c in enumerate(f) if c] for f in inputs]
+    low = [s[0] if s else 0 for s in support]
+    e = igcd(*[i - s[0] for s in support for i in s[1:]])
+    t = [o + k * low[0] + (m - k) * low[1] for k, o in enumerate(low[2:])]
+    live = [t_k for t_k, E in zip(t, other) if E]
+    r = min(live)
+    if not e or any((t_k - r) % e for t_k in live):
+        e = 1
+    g = [f[o::e] for f, o in zip(inputs, low)]
+    norms = [sum(map(abs, f)) for f in g]
+    bound, w1 = norms[-1], 1
+    for n in reversed(norms[2:-1]):
+        w1 *= norms[1]
+        bound = bound * norms[0] + n * w1
+    w = bound.bit_length() + 2
+    neg_p0, p1 = zz.pack(g[0], w), zz.pack(g[1], w)
+    acc, p1_pow = zz.pack(g[-1], w) << w * ((t[m] - r) // e), 1
+    for k in range(m - 1, -1, -1):
+        p1_pow *= p1
+        acc *= neg_p0
+        if other[k]:
+            acc += (zz.pack(g[k + 2], w) << w * ((t[k] - r) // e)) * p1_pow
+    H = zz.unpack(sign * acc, w)
+    out = [Rational(0)] * (r + e * len(H))  # one shared zero; Poly strips the tail
+    out[r::e] = map(Rational, H)
+    return Poly(out)
 
 
 def is_square_free(p: Poly) -> bool:
@@ -394,7 +431,7 @@ def _padic_roots(f):
     the lift once p^k > 2B.  Every rational root is among the candidates;
     the caller's exact division (_peel_roots) keeps the true ones.
     """
-    lc, df = f[-1], [i * c for i, c in enumerate(f)][1:]
+    lc, df = f[-1], zz.derivative(f)
     p = 1
     while True:
         p += 1

@@ -5,6 +5,12 @@ integer model when primitive with a positive lead).  A value x + y*sqrt(rad)
 is the int pair (x, y), rad = 0 meaning Q.  Values of Q or one Q(sqrt(rad))
 enter through cleared, as pairs over a common denominator (Cohen 1993,
 section 4.2), and leave through to_field.
+
+Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
+section 8.4) runs polynomial products as integer products: pack evaluates
+an int list at 2^k, and unpack reads a result back as symmetric base-2^k
+digits, exact when every coefficient lies below 2^(k-1) in absolute value.
+GCDHEU evaluates at points that are no power of 2 and reads them with digits.
 """
 
 from math import gcd as igcd, isqrt, lcm
@@ -65,6 +71,31 @@ def homogeneous(cx, cy, u, v, n, rad):
         if i:
             px, py = px * vx + rad * py * vy, px * vy + py * vx
     return x, y
+
+
+def pack(f, k):
+    """f(2^k) for an int list f: Kronecker substitution by shifts."""
+    v = 0
+    for c in reversed(f):
+        v = (v << k) + c
+    return v
+
+
+def unpack(v, k):
+    """The symmetric base-2^k digits of v, lowest first, each in (-2^(k-1), 2^(k-1)].
+
+    Inverts pack on int lists with entries in that range and no trailing
+    zero; reads by masks and shifts, not the modulo of digits.
+    """
+    full, mask, half, out = 1 << k, (1 << k) - 1, 1 << (k - 1), []
+    while v:
+        c = v & mask
+        v >>= k
+        if c > half:
+            c -= full
+            v += 1
+        out.append(c)
+    return out
 
 
 def digits(v, xi):
@@ -166,9 +197,13 @@ def gcd(f, g):
     return heu_gcd(f, g) or prs_gcd(f, g)
 
 
+def derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
 def square_free(f):
     """Square-free part of the integer model f, degree >= 1, as an integer model."""
-    g = gcd(f, primitive([i * c for i, c in enumerate(f)][1:]))
+    g = gcd(f, primitive(derivative(f)))
     return f if len(g) == 1 else quo(f, g)
 
 

@@ -306,6 +306,20 @@ class TestErrorHandling:
         assert cli.main(["classify", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["flags"] == ["value-error"]
 
+    @pytest.mark.parametrize("coeffs, value", [
+        ([False, 0, 0, 0, 0, True], "False"),
+        (["1", "0", "0", "0", "0", "0", True], "True"),
+        (["1", "0", "0", "0", "0", "0", {"a": "1", "b": True, "d": "2"}], "True"),
+        (["1", "0", "0", "0", "0", "0", {"a": "1", "b": "1", "d": True}], "True"),
+    ], ids=["coefficients", "lead", "quadext-part", "quadext-radicand"])
+    def test_json_booleans_are_not_scalars(self, coeffs, value, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"curve": {"coefficients": coeffs}}))
+        assert cli.main(["classify", str(path)]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["flags"] == ["value-error"]
+        assert rep["result"]["detail"] == f"cannot parse scalar from {value}"
+
     def test_zero_denominator_in_u_is_invalid_input(self, capsys):
         assert cli.main(["rational-model", "--u", "1/0,2"]) == 1
         assert json.loads(capsys.readouterr().out)["flags"] == ["value-error"]

@@ -74,6 +74,23 @@ def sylvester_resultant(p, q):
     return det
 
 
+def schoolbook_resultant(p, q):
+    """Reference: the closed form sum_k E_k (-p0)^k p1^(m-k) by int-list products.
+
+    The Horner loop of zz.mul and zz.add that poly.resultant ran before it
+    packed its inputs into integers.
+    """
+    p = zz.strip([zz.strip(list(row)) for row in p])
+    q = zz.strip([zz.strip(list(row)) for row in q])
+    lin, other, sign = (p, q, 1) if len(p) == 2 else (q, p, (-1) ** (len(p) - 1))
+    neg_p0, p1 = [-c for c in lin[0]], lin[1]
+    acc, p1_pow = other[-1], [1]
+    for row in reversed(other[:-1]):
+        p1_pow = zz.mul(p1_pow, p1)
+        acc = zz.add(zz.mul(acc, neg_p0), zz.mul(row, p1_pow))
+    return Poly([sign * c for c in acc])
+
+
 def cofactor_det(rows):
     """Independent determinant by cofactor expansion (fine for small sizes)."""
     size = len(rows)
@@ -328,6 +345,50 @@ class TestResultant:
         # Res_b(b - a, E(b)) = E(a): the product of E over the roots of b - a
         E = [[-7], [0], [3], [1]]
         assert resultant([[0, -1], [1]], E) == Poly([-7, 0, 3, 1])
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 5, 12])
+    def test_strided_inputs_match_the_schoolbook_form(self, stride):
+        # Each row is a^o g(a^stride).  Half the cases pick the offsets so
+        # that every term's lowest exponent agrees mod the stride (the
+        # packing then runs in a^stride), half pick them freely.
+        rng = random.Random(stride)
+
+        def row(offset, digits):
+            if rng.random() < 0.15:
+                return []
+            terms = 1 if rng.random() < 0.25 else rng.randint(2, 4)
+            f = [0] * (offset + stride * (terms - 1) + 1)
+            for i in range(terms):
+                f[offset + stride * i] = rng.randint(-10 ** digits, 10 ** digits) or 1
+            return f
+
+        for case in range(60):
+            digits = rng.choice([1, 3, 40])
+            m = rng.randint(0, 4)
+            o0, o1, r = (rng.randrange(2 * stride) for _ in range(3))
+            if case % 2:
+                offsets = [rng.randrange(2 * stride) for _ in range(m + 1)]
+            else:  # o_k + k*o0 + (m - k)*o1 = r mod stride, for every k
+                offsets = [(r - k * o0 - (m - k) * o1) % stride + stride * rng.randrange(2)
+                           for k in range(m + 1)]
+            other = [row(o, digits) for o in offsets]
+            other[-1] = other[-1] or [0] * offsets[-1] + [7]
+            lin = [row(o0, digits), row(o1, digits) or [0] * o1 + [-3]]
+            for args in ((lin, other), (other, lin)):
+                assert resultant(*args) == schoolbook_resultant(*args)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_coefficients_at_the_width_bound(self, d, m):
+        # All-one inputs with p0 = -(1 + a + ... + a^d): no term cancels, so
+        # the coefficients sum to the bound B = sum_k |E_k| |p0|^k |p1|^(m-k)
+        # that sets the width, and for d = 0 the one coefficient equals it.
+        ones = [1] * (d + 1)
+        lin, other = [[-1] * (d + 1), ones], [ones] * (m + 1)
+        expected = schoolbook_resultant(lin, other)
+        assert sum(expected.coeffs) == (m + 1) * (d + 1) ** (m + 1)
+        assert resultant(lin, other) == expected
+        assert resultant(other, lin) == schoolbook_resultant(other, lin)
 
 
 class TestDetBareiss:

@@ -1,4 +1,4 @@
-"""The int-pair layer of zz.py against QuadExt arithmetic."""
+"""The int-pair layer of zz.py against QuadExt arithmetic, and its Kronecker reader."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -72,3 +72,20 @@ def test_norm_form_is_product_with_conjugate(rad, coeffs):
     fix = Poly([value(xy, rad) for xy in zip(U, V or [0] * len(U))])
     conj = Poly([c.conj() if isinstance(c, QuadExt) else c for c in fix.coeffs])
     assert Poly(zz.norm_form(zz.strip(U), zz.strip(V), rad)) == fix * conj
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-2 ** 130, 2 ** 130), max_size=8), st.integers(-1, 70))
+def test_unpack_inverts_pack(f, extra):
+    # entries are clamped into the digit range (-2^(k-1), 2^(k-1)], ends included
+    f = zz.strip(f)
+    k = max(1, max(map(abs, f), default=0).bit_length() + extra)
+    f = [min(c, 1 << (k - 1)) if c > 0 else max(c, 1 - (1 << (k - 1))) for c in f]
+    assert zz.unpack(zz.pack(f, k), k) == zz.strip(f)
+    assert zz.pack(f, k) == zz.evaluate(f, 1 << k)
+
+
+@_PROPERTY
+@given(st.integers(-2 ** 300, 2 ** 300), st.integers(2, 90))
+def test_unpack_reads_the_symmetric_digits(v, k):
+    assert zz.unpack(v, k) == zz.digits(v, 1 << k)
